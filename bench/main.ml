@@ -22,7 +22,10 @@
                           timing would corrupt the measurements.
      --out FILE           output path (default BENCH_detector.json)
      --compare FILE       compare against a committed baseline JSON;
-                          exit 2 on >threshold normalized-throughput regression
+                          exit 2 on >threshold normalized-throughput
+                          regression, and on a baseline that does not
+                          parse, has no rows (checked before the suite
+                          runs) or shares no detector row with the run
      --max-regression PCT regression threshold in percent (default 25)
 
    Table/figure index (see DESIGN.md §4):
@@ -41,16 +44,31 @@ module Vm = Raceguard_vm
 module Sip = Raceguard_sip
 module Loc = Raceguard_util.Loc
 module Obs = Raceguard_obs
+module Json = Obs.Json
 
 let seed = 7
+
+(* Every VM run goes through the Runner; [plain seed] attaches no
+   detector of its own, so a run sees exactly the [tools] it is given. *)
+let plain seed = { R.Runner.default with seed; helgrind_configs = [] }
+let vm_run ?tools ~seed main = fst (R.Runner.run_main ?tools (plain seed) main)
+
+(* A throughput "subject" is "no-tool" or a registry name; the sink is
+   fresh per run, and the row reads its report count and digest back. *)
+let subject_sink = function "no-tool" -> None | name -> Some (Det.Offline.sink name)
+let tools_of = function None -> [] | Some s -> [ s.Det.Offline.sk_tool ]
+
+let verdict sink =
+  let locations = match sink with None -> [] | Some s -> s.Det.Offline.sk_locations () in
+  (List.length locations, Det.Offline.digest_signatures locations)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel test subjects: one per table/figure workload               *)
 (* ------------------------------------------------------------------ *)
 
-let run_t2 helgrind_configs ~djit () =
-  let cfg = { R.Runner.default with seed; helgrind_configs; run_djit = djit } in
-  ignore (R.Runner.run_test_case cfg Sip.Workload.t2)
+let run_t2 ?(subject = "no-tool") helgrind_configs () =
+  let cfg = { R.Runner.default with seed; helgrind_configs } in
+  ignore (R.Runner.run_test_case ~tools:(tools_of (subject_sink subject)) cfg Sip.Workload.t2)
 
 let run_scenario helgrind_configs scenario () =
   let cfg = { R.Runner.default with seed; helgrind_configs } in
@@ -58,46 +76,34 @@ let run_scenario helgrind_configs scenario () =
 
 let offline_replay () =
   (* record once per run, replay through the detector post mortem *)
-  let recorder = Det.Offline.create_recorder () in
-  let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-  Vm.Engine.add_tool vm (Det.Offline.tool recorder);
-  let transport = Sip.Transport.create () in
-  let _ =
-    Vm.Engine.run vm (fun () ->
-        ignore
-          (Sip.Workload.run_test_case ~transport ~server_config:R.Runner.default.server
-             Sip.Workload.t3 ()))
-  in
+  let r = R.Trace_ops.record_test ~seed Sip.Workload.t3 in
   let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
-  Det.Offline.replay recorder (Det.Helgrind.tool h)
+  Det.Offline.replay r.R.Trace_ops.rec_recorder (Det.Helgrind.tool h)
 
 let minicc_pipeline () =
   let module M = Raceguard_minicc in
   let interp, _pretty, _n =
     M.Interp.compile ~annotate:true ~file:"g.mcc" R.Experiments.figure4_source
   in
-  let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
-  let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-  Vm.Engine.add_tool vm (Det.Helgrind.tool h);
-  ignore (Vm.Engine.run vm (fun () -> M.Interp.run_main interp))
+  run_scenario [ ("HWLC+DR", Det.Helgrind.hwlc_dr) ] (fun () -> M.Interp.run_main interp) ()
 
 let cfgs name c = [ (name, c) ]
 
 let tests =
   [
     (* Figure 6 / §4.5 series: T2 under each configuration *)
-    Test.make ~name:"fig6/T2-no-tool" (Staged.stage (run_t2 [] ~djit:false));
+    Test.make ~name:"fig6/T2-no-tool" (Staged.stage (run_t2 []));
     Test.make ~name:"fig6/T2-Original"
-      (Staged.stage (run_t2 (cfgs "Original" Det.Helgrind.original) ~djit:false));
+      (Staged.stage (run_t2 (cfgs "Original" Det.Helgrind.original)));
     Test.make ~name:"fig6/T2-HWLC"
-      (Staged.stage (run_t2 (cfgs "HWLC" Det.Helgrind.hwlc) ~djit:false));
+      (Staged.stage (run_t2 (cfgs "HWLC" Det.Helgrind.hwlc)));
     Test.make ~name:"fig6/T2-HWLC+DR"
-      (Staged.stage (run_t2 (cfgs "HWLC+DR" Det.Helgrind.hwlc_dr) ~djit:false));
+      (Staged.stage (run_t2 (cfgs "HWLC+DR" Det.Helgrind.hwlc_dr)));
     (* baselines: DJIT on the same workload *)
-    Test.make ~name:"baselines/T2-DJIT" (Staged.stage (run_t2 [] ~djit:true));
+    Test.make ~name:"baselines/T2-DJIT" (Staged.stage (run_t2 ~subject:"djit" []));
     (* ablation: pure Eraser (no state machine) *)
     Test.make ~name:"states/T2-pure-eraser"
-      (Staged.stage (run_t2 (cfgs "pure" Det.Helgrind.pure_eraser) ~djit:false));
+      (Staged.stage (run_t2 (cfgs "pure" Det.Helgrind.pure_eraser)));
     (* Figures 8/9: the string test *)
     Test.make ~name:"fig8/stringtest-original"
       (Staged.stage
@@ -162,28 +168,12 @@ type workload = {
 }
 
 let scenario_workload name f =
-  {
-    w_name = name;
-    w_run =
-      (fun ~seed tools ->
-        let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-        List.iter (Vm.Engine.add_tool vm) tools;
-        ignore (Vm.Engine.run vm f));
-  }
+  { w_name = name; w_run = (fun ~seed tools -> ignore (vm_run ~tools ~seed f)) }
 
 let sip_workload tc =
   {
     w_name = String.lowercase_ascii tc.Sip.Workload.tc_name;
-    w_run =
-      (fun ~seed tools ->
-        let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-        List.iter (Vm.Engine.add_tool vm) tools;
-        let transport = Sip.Transport.create () in
-        ignore
-          (Vm.Engine.run vm (fun () ->
-               ignore
-                 (Sip.Workload.run_test_case ~transport
-                    ~server_config:R.Runner.default.server tc ()))));
+    w_run = (fun ~seed tools -> ignore (R.Runner.run_test_case ~tools (plain seed) tc));
   }
 
 let workloads ~quick =
@@ -208,107 +198,16 @@ let workloads ~quick =
   in
   List.map sip_workload sip @ micro
 
-(* one detector "subject": fresh per timed run; the audit accessors
-   read back report counts and dedup signatures for fidelity checks *)
-type subject = {
-  s_name : string;
-  s_config : Obs.Json.t;  (** full detector configuration, echoed into the JSON header *)
-  s_make : unit -> Vm.Tool.t list * (unit -> int) * (unit -> string list);
-}
-
-let sig_string (r : Det.Report.t) =
-  let kind, frames = Det.Report.signature r in
-  Fmt.str "%a@%s" Det.Report.pp_kind kind
-    (String.concat ";" (List.map (fun l -> Fmt.str "%a" Loc.pp l) frames))
-
-let sigs_of locations = List.map (fun (r, _) -> sig_string r) locations
-
-let mk_helgrind cfg () =
-  let h = Det.Helgrind.create cfg in
-  ( [ Det.Helgrind.tool h ],
-    (fun () -> Det.Helgrind.location_count h),
-    fun () -> sigs_of (Det.Helgrind.locations h) )
-
-let other_config detector = Obs.Json.Obj [ ("detector", Obs.Json.Str detector) ]
-
+(* The throughput rows' subjects: no tools, then the nine registry
+   configurations the committed baseline pins (all but HWLC+DR+HB). *)
 let subjects =
-  [
-    {
-      s_name = "no-tool";
-      s_config = other_config "none";
-      s_make = (fun () -> ([], (fun () -> 0), fun () -> []));
-    };
-    {
-      s_name = "helgrind-original";
-      s_config = Det.Helgrind.config_to_json Det.Helgrind.original;
-      s_make = mk_helgrind Det.Helgrind.original;
-    };
-    {
-      s_name = "helgrind-hwlc";
-      s_config = Det.Helgrind.config_to_json Det.Helgrind.hwlc;
-      s_make = mk_helgrind Det.Helgrind.hwlc;
-    };
-    {
-      s_name = "helgrind-hwlc+dr";
-      s_config = Det.Helgrind.config_to_json Det.Helgrind.hwlc_dr;
-      s_make = mk_helgrind Det.Helgrind.hwlc_dr;
-    };
-    {
-      s_name = "eraser-pure";
-      s_config = Det.Helgrind.config_to_json Det.Helgrind.pure_eraser;
-      s_make = mk_helgrind Det.Helgrind.pure_eraser;
-    };
-    {
-      s_name = "djit";
-      s_config = other_config "djit";
-      s_make =
-        (fun () ->
-          let d = Det.Djit.create () in
-          ( [ Det.Djit.tool d ],
-            (fun () -> Det.Djit.location_count d),
-            fun () -> sigs_of (Det.Djit.locations d) ));
-    };
-    {
-      s_name = "fasttrack";
-      s_config = Det.Fasttrack.config_to_json Det.Fasttrack.default_config;
-      s_make =
-        (fun () ->
-          let f = Det.Fasttrack.create () in
-          ( [ Det.Fasttrack.tool f ],
-            (fun () -> Det.Fasttrack.location_count f),
-            fun () -> sigs_of (Det.Fasttrack.locations f) ));
-    };
-    {
-      s_name = "hybrid";
-      s_config = other_config "hybrid";
-      s_make =
-        (fun () ->
-          let h = Det.Hybrid.create () in
-          ( [ Det.Hybrid.tool h ],
-            (fun () -> Det.Hybrid.location_count h),
-            fun () -> sigs_of (Det.Hybrid.locations h) ));
-    };
-    {
-      s_name = "hybrid-epoch";
-      s_config = other_config "hybrid-epoch";
-      s_make =
-        (fun () ->
-          let h = Det.Hybrid.create ~config:Det.Hybrid.epoch_config () in
-          ( [ Det.Hybrid.tool h ],
-            (fun () -> Det.Hybrid.location_count h),
-            fun () -> sigs_of (Det.Hybrid.locations h) ));
-    };
-    {
-      s_name = "racetrack";
-      s_config = other_config "racetrack";
-      s_make =
-        (fun () ->
-          let r = Det.Racetrack.create () in
-          ( [ Det.Racetrack.tool r ],
-            (fun () -> Det.Racetrack.location_count r),
-            fun () -> sigs_of (Det.Racetrack.locations r) ));
-    };
-  ]
+  "no-tool" :: List.filter (fun c -> c <> "helgrind-hwlc+dr+hb") Det.Offline.configs
+
+let no_tool_config = Json.Obj [ ("detector", Json.Str "none") ]
+
+let subject_config = function
+  | "no-tool" -> no_tool_config
+  | name -> (Det.Offline.sink name).Det.Offline.sk_config
 
 type row = {
   r_workload : string;
@@ -326,7 +225,7 @@ type row = {
   r_gc_words_per_event : float;  (** minor words allocated per event (audit run) *)
 }
 
-let composite w s = w.w_name ^ "::" ^ s.s_name
+let composite w s = w.w_name ^ "::" ^ s
 
 (* Analyze.all keys carry the grouped-test prefix; match on suffix. *)
 let estimate tbl composite =
@@ -341,8 +240,6 @@ let count_events w ~seed =
   let n = ref 0 in
   w.w_run ~seed [ Vm.Tool.of_fn "count" (fun _ -> incr n) ];
   !n
-
-let digest_sigs sigs = Digest.to_hex (Digest.string (String.concat "\n" (List.sort compare sigs)))
 
 let run_throughput ~quick ~seed ~domains =
   let workloads = workloads ~quick in
@@ -367,13 +264,14 @@ let run_throughput ~quick ~seed ~domains =
   let audited =
     Raceguard_par.Par.map_cells ~domains
       (fun (w, s) ->
-        let tools, n_reports, signatures = s.s_make () in
+        let sink = subject_sink s in
         let before = Obs.Metrics.snapshot () in
         let gc0 = Gc.minor_words () in
-        w.w_run ~seed tools;
+        w.w_run ~seed (tools_of sink);
         let gc_words = Gc.minor_words () -. gc0 in
         let m = Obs.Metrics.diff ~before (Obs.Metrics.snapshot ()) in
-        (w.w_name, (s.s_name, (n_reports (), digest_sigs (signatures ()), m, gc_words))))
+        let n_reports, digest = verdict sink in
+        (w.w_name, (s, (n_reports, digest, m, gc_words))))
       audit_cells
   in
   let audits =
@@ -394,9 +292,7 @@ let run_throughput ~quick ~seed ~domains =
         List.map
           (fun s ->
             Test.make ~name:(composite w s)
-              (Staged.stage (fun () ->
-                   let tools, _, _ = s.s_make () in
-                   w.w_run ~seed tools)))
+              (Staged.stage (fun () -> w.w_run ~seed (tools_of (subject_sink s)))))
           subjects)
       workloads
   in
@@ -420,14 +316,14 @@ let run_throughput ~quick ~seed ~domains =
             let eps =
               if Float.is_nan ns || ns <= 0. then 0. else float_of_int events /. (ns /. 1e9)
             in
-            let n_reports, digest, m, gc_words = List.assoc s.s_name per_subject in
+            let n_reports, digest, m, gc_words = List.assoc s per_subject in
             let counter name = Option.value ~default:0 (Obs.Metrics.find_counter m name) in
             let gauge name = Option.value ~default:0 (Obs.Metrics.find_gauge m name) in
             (* the fast-path columns read whichever detector family the
                subject runs: fasttrack rows report epoch hits, everything
                else the lock-set shadow fast path *)
             let checked, fast_hits =
-              if s.s_name = "fasttrack" then
+              if s = "fasttrack" then
                 ( counter "detector.fasttrack.accesses_checked",
                   counter "detector.fasttrack.epoch_hits" )
               else
@@ -436,7 +332,7 @@ let run_throughput ~quick ~seed ~domains =
             in
             {
               r_workload = w.w_name;
-              r_config = s.s_name;
+              r_config = s;
               r_events = events;
               r_reports = n_reports;
               r_sig_digest = digest;
@@ -569,9 +465,7 @@ let hints_run ~seed ~hints () =
   let interp, _, _ = M.Interp.compile ~annotate:true ~file:"hints.mcc" hints_source in
   let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
   (match hints with Some locs -> Det.Helgrind.set_static_hints h locs | None -> ());
-  let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-  Vm.Engine.add_tool vm (Det.Helgrind.tool h);
-  ignore (Vm.Engine.run vm (fun () -> M.Interp.run_main interp));
+  ignore (vm_run ~tools:[ Det.Helgrind.tool h ] ~seed (fun () -> M.Interp.run_main interp));
   h
 
 let hints_configs =
@@ -588,15 +482,15 @@ let hints_rows ~quick ~seed =
     let module M = Raceguard_minicc in
     let interp, _, _ = M.Interp.compile ~annotate:true ~file:"hints.mcc" hints_source in
     let n = ref 0 in
-    let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-    Vm.Engine.add_tool vm (Vm.Tool.of_fn "count" (fun _ -> incr n));
-    ignore (Vm.Engine.run vm (fun () -> M.Interp.run_main interp));
+    ignore
+      (vm_run ~tools:[ Vm.Tool.of_fn "count" (fun _ -> incr n) ] ~seed (fun () ->
+           M.Interp.run_main interp));
     !n
   in
   let mk name hints =
     let h = hints_run ~seed ~hints () in
     let reports = Det.Helgrind.location_count h in
-    let digest = digest_sigs (sigs_of (Det.Helgrind.locations h)) in
+    let digest = Det.Offline.digest_signatures (Det.Helgrind.locations h) in
     let checked = Det.Helgrind.accesses_checked h in
     let hits = Det.Helgrind.fast_path_hits h in
     let reps = if quick then 3 else 10 in
@@ -649,32 +543,22 @@ let hints_rows ~quick ~seed =
    and may not cost more than 5% of throughput vs no injector at all. *)
 let faults_workload_name = "sip-t2-chaos-off"
 
-let faults_run ~seed ~injector () =
-  let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
-  let vm =
-    Vm.Engine.create ~config:{ Vm.Engine.default_config with seed; faults = injector } ()
-  in
-  Vm.Engine.add_tool vm (Det.Helgrind.tool h);
+let faults_run ~seed ~injector tools =
   let transport = Sip.Transport.create ?faults:injector () in
   let server = { R.Runner.default.server with Sip.Proxy.faults = injector } in
   ignore
-    (Vm.Engine.run vm (fun () ->
-         ignore
-           (Sip.Workload.run_test_case ~transport ~server_config:server Sip.Workload.t2 ())));
+    (R.Runner.run_main ~tools
+       { (plain seed) with faults = injector }
+       (Sip.Workload.run_test_case ~transport ~server_config:server Sip.Workload.t2))
+
+let faults_helgrind ~seed ~injector =
+  let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
+  faults_run ~seed ~injector [ Det.Helgrind.tool h ];
   h
 
 let faults_events ~seed ~injector =
-  let vm =
-    Vm.Engine.create ~config:{ Vm.Engine.default_config with seed; faults = injector } ()
-  in
   let n = ref 0 in
-  Vm.Engine.add_tool vm (Vm.Tool.of_fn "count" (fun _ -> incr n));
-  let transport = Sip.Transport.create ?faults:injector () in
-  let server = { R.Runner.default.server with Sip.Proxy.faults = injector } in
-  ignore
-    (Vm.Engine.run vm (fun () ->
-         ignore
-           (Sip.Workload.run_test_case ~transport ~server_config:server Sip.Workload.t2 ())));
+  faults_run ~seed ~injector [ Vm.Tool.of_fn "count" (fun _ -> incr n) ];
   !n
 
 let faults_configs =
@@ -692,24 +576,24 @@ let faults_rows ~quick ~seed =
   let audited =
     List.map
       (fun (name, inj) ->
-        let h = faults_run ~seed ~injector:(inj ()) () in
+        let h = faults_helgrind ~seed ~injector:(inj ()) in
         let events = faults_events ~seed ~injector:(inj ()) in
         (name, inj, events, Det.Helgrind.location_count h,
-         digest_sigs (sigs_of (Det.Helgrind.locations h))))
+         Det.Offline.digest_signatures (Det.Helgrind.locations h)))
       variants
   in
   (* interleave the timed repetitions so clock drift hits both equally *)
   let reps = if quick then 4 else 12 in
   let spent = Hashtbl.create 4 in
   List.iter (fun (name, _, _, _, _) -> Hashtbl.replace spent name 0.) audited;
-  List.iter (fun (_, inj, _, _, _) -> ignore (faults_run ~seed ~injector:(inj ()) ()))
+  List.iter (fun (_, inj, _, _, _) -> ignore (faults_helgrind ~seed ~injector:(inj ())))
     audited (* warm-up *);
   for _ = 1 to reps do
     List.iter
       (fun (name, inj, _, _, _) ->
         let injector = inj () in
         let t0 = Sys.time () in
-        ignore (faults_run ~seed ~injector ());
+        ignore (faults_helgrind ~seed ~injector);
         Hashtbl.replace spent name (Hashtbl.find spent name +. (Sys.time () -. t0)))
       audited
   done;
@@ -781,17 +665,9 @@ module Trace = Raceguard_trace
 
 let trace_workload_name = "sip-t2-trace"
 
-let plain_run ~seed () =
-  let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-  let transport = Sip.Transport.create () in
-  ignore
-    (Vm.Engine.run vm (fun () ->
-         ignore
-           (Sip.Workload.run_test_case ~transport ~server_config:R.Runner.default.server
-              Sip.Workload.t2 ())))
+let plain_run ~seed () = ignore (R.Runner.run_test_case (plain seed) Sip.Workload.t2)
 
 let trace_run ~seed ~record () =
-  let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
   let recorder =
     if record then
       Some
@@ -800,16 +676,13 @@ let trace_run ~seed ~record () =
            ())
     else None
   in
-  let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-  Vm.Engine.add_tool vm (Det.Helgrind.tool h);
-  (match recorder with Some r -> Vm.Engine.add_tool vm (Det.Offline.tool r) | None -> ());
-  let transport = Sip.Transport.create () in
-  ignore
-    (Vm.Engine.run vm (fun () ->
-         ignore
-           (Sip.Workload.run_test_case ~transport ~server_config:R.Runner.default.server
-              Sip.Workload.t2 ())));
-  (h, recorder)
+  let res =
+    R.Runner.run_test_case
+      ~tools:(Option.to_list (Option.map Det.Offline.tool recorder))
+      { R.Runner.default with seed; helgrind_configs = [ ("HWLC+DR", Det.Helgrind.hwlc_dr) ] }
+      Sip.Workload.t2
+  in
+  (R.Runner.locations_of res "HWLC+DR", recorder)
 
 let trace_configs =
   [
@@ -824,8 +697,8 @@ let trace_rows ~quick ~seed =
   (* audit 1: the ride-along recorder is a pure observer — attaching it
      next to the detector must not move the report digest *)
   let audit record =
-    let h, r = trace_run ~seed ~record () in
-    (Det.Helgrind.location_count h, digest_sigs (sigs_of (Det.Helgrind.locations h)), r)
+    let locations, r = trace_run ~seed ~record () in
+    (List.length locations, Det.Offline.digest_signatures locations, r)
   in
   let base_reports, base_digest, _ = audit false in
   let rec_reports, rec_digest, recorder = audit true in
@@ -1013,8 +886,7 @@ let fix_rows ~quick ~seed:_ =
   in
   let run_plain () =
     let interp, _, _ = M.Interp.compile ~annotate:true ~file:"bench_fix.mcc" fix_source in
-    let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed = 1 } () in
-    ignore (Vm.Engine.run vm (fun () -> M.Interp.run_main interp));
+    ignore (vm_run ~seed:1 (fun () -> M.Interp.run_main interp));
     interp
   in
   let best reps f =
@@ -1043,12 +915,12 @@ let fix_rows ~quick ~seed:_ =
     exit 2
   end;
   let digest =
-    digest_sigs
-      (List.map
-         (fun p ->
-           p.Fix.Engine.pr_plan.Fix.Synth.pl_strategy
-           ^ "|" ^ p.Fix.Engine.pr_plan.Fix.Synth.pl_guard_desc)
-         verified)
+    List.map
+      (fun p ->
+        p.Fix.Engine.pr_plan.Fix.Synth.pl_strategy
+        ^ "|" ^ p.Fix.Engine.pr_plan.Fix.Synth.pl_guard_desc)
+      verified
+    |> List.sort compare |> String.concat "\n" |> Digest.string |> Digest.to_hex
   in
   Printf.printf
     "fix pipeline gate OK: %d verified patch(es) in %.1f ms (plain run %.2f ms, cost \
@@ -1092,11 +964,9 @@ let storm_params ~quick = if quick then (2_000, 64) else (20_000, 256)
 
 let storm_run ~quick ~seed tools =
   let users, max_shards = storm_params ~quick in
-  let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-  List.iter (Vm.Engine.add_tool vm) tools;
   let reg = ref None in
   let outcome =
-    Vm.Engine.run vm (fun () ->
+    (vm_run ~tools ~seed (fun () ->
         let alloc = Raceguard_cxxsim.Allocator.create Raceguard_cxxsim.Allocator.Direct in
         let stats = Sip.Stats.create () in
         let r =
@@ -1127,7 +997,8 @@ let storm_run ~quick ~seed tools =
                   done))
         in
         List.iter (fun t -> Vm.Api.join ~loc:storm_loc t) threads;
-        ignore (Sip.Registrar.rebalance r))
+        ignore (Sip.Registrar.rebalance r)))
+      .R.Runner.outcome
   in
   (match outcome.Vm.Engine.failures with
   | [] -> ()
@@ -1143,7 +1014,7 @@ let storm_run ~quick ~seed tools =
 
 let storm_configs =
   [
-    ("storm-no-tool", other_config "none");
+    ("storm-no-tool", no_tool_config);
     ("storm-hwlc+dr", Det.Helgrind.config_to_json Det.Helgrind.hwlc_dr);
   ]
 
@@ -1154,19 +1025,14 @@ let storm_rows ~quick ~seed =
     ignore (storm_run ~quick ~seed [ Vm.Tool.of_fn "count" (fun _ -> incr n) ]);
     !n
   in
-  let variants =
-    [
-      ("storm-no-tool", fun () -> ([], (fun () -> 0), fun () -> []));
-      ("storm-hwlc+dr", mk_helgrind Det.Helgrind.hwlc_dr);
-    ]
-  in
+  let variants = [ ("storm-no-tool", "no-tool"); ("storm-hwlc+dr", "helgrind-hwlc+dr") ] in
   let audited =
     List.map
-      (fun (name, make) ->
-        let tools, n_reports, signatures = make () in
+      (fun (name, subject) ->
+        let sink = subject_sink subject in
         let before = Obs.Metrics.snapshot () in
         let gc0 = Gc.minor_words () in
-        let r = storm_run ~quick ~seed tools in
+        let r = storm_run ~quick ~seed (tools_of sink) in
         let gc_words = Gc.minor_words () -. gc0 in
         let m = Obs.Metrics.diff ~before (Obs.Metrics.snapshot ()) in
         let audit = Sip.Registrar.audit r in
@@ -1186,7 +1052,8 @@ let storm_rows ~quick ~seed =
            migration(s), audit clean\n%!"
           name users (Sip.Registrar.shard_count r) (Sip.Registrar.resizes r)
           (Sip.Registrar.migrations r);
-        (name, make, n_reports (), digest_sigs (signatures ()), m, gc_words))
+        let n_reports, digest = verdict sink in
+        (name, subject, n_reports, digest, m, gc_words))
       variants
   in
   (* interleave the timed repetitions so clock drift hits both equally *)
@@ -1194,14 +1061,13 @@ let storm_rows ~quick ~seed =
   let spent = Hashtbl.create 4 in
   List.iter (fun (name, _, _, _, _, _) -> Hashtbl.replace spent name 0.) audited;
   List.iter
-    (fun (_, make, _, _, _, _) ->
-      let tools, _, _ = make () in
-      ignore (storm_run ~quick ~seed tools))
+    (fun (_, subject, _, _, _, _) ->
+      ignore (storm_run ~quick ~seed (tools_of (subject_sink subject))))
     audited (* warm-up *);
   for _ = 1 to reps do
     List.iter
-      (fun (name, make, _, _, _, _) ->
-        let tools, _, _ = make () in
+      (fun (name, subject, _, _, _, _) ->
+        let tools = tools_of (subject_sink subject) in
         let t0 = Sys.time () in
         ignore (storm_run ~quick ~seed tools);
         Hashtbl.replace spent name (Hashtbl.find spent name +. (Sys.time () -. t0)))
@@ -1321,63 +1187,64 @@ let scaling_rows ~seed =
 
 (* --- JSON output --------------------------------------------------- *)
 
-let fl x = if Float.is_nan x || Float.is_integer x then Printf.sprintf "%.1f" x else Printf.sprintf "%.6g" x
-
 let row_json r =
   let hit_rate =
     if r.r_checked = 0 then 0. else float_of_int r.r_fast_hits /. float_of_int r.r_checked
   in
-  Printf.sprintf
-    "{\"workload\": \"%s\", \"config\": \"%s\", \"events\": %d, \"reports\": %d, \
-     \"sig_digest\": \"%s\", \"ns_per_run\": %s, \"events_per_sec\": %s, \
-     \"minor_words_per_event\": %s, \"normalized\": %s, \"metrics\": \
-     {\"accesses_checked\": %d, \"fast_path_hits\": %d, \"fast_path_hit_rate\": %s, \
-     \"lockset_interned\": %d, \"gc_minor_words_per_event\": %s}}"
-    r.r_workload r.r_config r.r_events r.r_reports r.r_sig_digest (fl r.r_ns_per_run)
-    (fl r.r_events_per_sec) (fl r.r_minor_words_per_event) (fl r.r_normalized) r.r_checked
-    r.r_fast_hits (fl hit_rate) r.r_interned
-    (fl r.r_gc_words_per_event)
+  Json.Obj
+    [
+      ("workload", Json.Str r.r_workload);
+      ("config", Json.Str r.r_config);
+      ("events", Json.int r.r_events);
+      ("reports", Json.int r.r_reports);
+      ("sig_digest", Json.Str r.r_sig_digest);
+      ("ns_per_run", Json.Num r.r_ns_per_run);
+      ("events_per_sec", Json.Num r.r_events_per_sec);
+      ("minor_words_per_event", Json.Num r.r_minor_words_per_event);
+      ("normalized", Json.Num r.r_normalized);
+      ( "metrics",
+        Json.Obj
+          [
+            ("accesses_checked", Json.int r.r_checked);
+            ("fast_path_hits", Json.int r.r_fast_hits);
+            ("fast_path_hit_rate", Json.Num hit_rate);
+            ("lockset_interned", Json.int r.r_interned);
+            ("gc_minor_words_per_event", Json.Num r.r_gc_words_per_event);
+          ] );
+    ]
 
 let scaling_json l =
-  Printf.sprintf
-    "{\"domains\": %d, \"cells\": %d, \"seconds\": %s, \"cells_per_sec\": %s, \"speedup\": \
-     %s, \"steals\": %d, \"digest\": \"%s\"}"
-    l.sc_domains l.sc_cells (fl l.sc_seconds) (fl l.sc_cells_per_sec) (fl l.sc_speedup)
-    l.sc_steals l.sc_digest
+  Json.Obj
+    [
+      ("domains", Json.int l.sc_domains);
+      ("cells", Json.int l.sc_cells);
+      ("seconds", Json.Num l.sc_seconds);
+      ("cells_per_sec", Json.Num l.sc_cells_per_sec);
+      ("speedup", Json.Num l.sc_speedup);
+      ("steals", Json.int l.sc_steals);
+      ("digest", Json.Str l.sc_digest);
+    ]
 
 let write_json ~out ~quick ~seed ~domains ~scaling rows =
-  let oc = open_out out in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": \"raceguard-bench/2\",\n";
-  Printf.fprintf oc "  \"seed\": %d,\n" seed;
-  Printf.fprintf oc "  \"mode\": \"%s\",\n" (if quick then "quick" else "full");
-  Printf.fprintf oc "  \"domains\": %d,\n" domains;
-  Printf.fprintf oc "  \"scaling\": [\n";
-  let nsc = List.length scaling in
-  List.iteri
-    (fun i l ->
-      Printf.fprintf oc "    %s%s\n" (scaling_json l) (if i = nsc - 1 then "" else ","))
-    scaling;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"configs\": {\n";
   let configs =
-    List.map (fun s -> (s.s_name, s.s_config)) subjects
+    List.map (fun s -> (s, subject_config s)) subjects
     @ hints_configs @ faults_configs @ trace_configs @ storm_configs
   in
-  let ns = List.length configs in
-  List.iteri
-    (fun i (name, cfg) ->
-      Printf.fprintf oc "    \"%s\": %s%s\n" name (Obs.Json.to_string cfg)
-        (if i = ns - 1 then "" else ","))
-    configs;
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"results\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r -> Printf.fprintf oc "    %s%s\n" (row_json r) (if i = n - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
+  let doc =
+    Json.Obj
+      [
+        ("schema", Json.Str "raceguard-bench/2");
+        ("seed", Json.int seed);
+        ("mode", Json.Str (if quick then "quick" else "full"));
+        ("domains", Json.int domains);
+        ("scaling", Json.List (List.map scaling_json scaling));
+        ("configs", Json.Obj configs);
+        ("results", Json.List (List.map row_json rows));
+      ]
+  in
+  Out_channel.with_open_bin out (fun oc ->
+      output_string oc (Json.to_string ~indent:2 doc);
+      output_char oc '\n')
 
 let print_summary rows =
   Printf.printf "%-18s %-18s %10s %12s %8s %8s\n" "workload" "config" "events"
@@ -1390,103 +1257,63 @@ let print_summary rows =
 
 (* --- baseline comparison ------------------------------------------- *)
 
-(* minimal field extraction from the one-object-per-line JSON we emit *)
-let json_str_field line key =
-  let pat = "\"" ^ key ^ "\": \"" in
-  match String.index_opt line '{' with
-  | None -> None
-  | Some _ -> (
-      let rec find i =
-        if i + String.length pat > String.length line then None
-        else if String.sub line i (String.length pat) = pat then Some (i + String.length pat)
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> None
-      | Some start ->
-          let stop = String.index_from line start '"' in
-          Some (String.sub line start (stop - start)))
-
-let json_num_field line key =
-  let pat = "\"" ^ key ^ "\": " in
-  let rec find i =
-    if i + String.length pat > String.length line then None
-    else if String.sub line i (String.length pat) = pat then Some (i + String.length pat)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      while
-        !stop < String.length line
-        && (match line.[!stop] with
-           | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' | 'n' | 'a' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub line start (!stop - start))
-
-(* Tolerates both the one-row-per-line output [write_json] emits and a
-   pretty-printed (one-field-per-line) baseline: fields are tracked as
-   they stream past and a row is flushed when its "normalized" field
-   arrives — [row_json] fixes the field order within a row, so the
-   pending workload/config always belong to that row. *)
+(* (workload, config) -> normalized throughput of every baseline row.
+   A file that does not parse or has no rows is an error: comparing
+   against nothing would pass vacuously. *)
 let load_baseline file =
-  let ic = open_in file in
-  let rows = ref [] in
-  let cur_w = ref None and cur_c = ref None and cur_eps = ref 0. in
-  (try
-     while true do
-       let line = input_line ic in
-       (match json_str_field line "workload" with Some w -> cur_w := Some w | None -> ());
-       (match json_str_field line "config" with Some c -> cur_c := Some c | None -> ());
-       (match json_num_field line "events_per_sec" with
-       | Some e -> cur_eps := e
-       | None -> ());
-       match json_num_field line "normalized" with
-       | Some norm -> (
-           match (!cur_w, !cur_c) with
-           | Some w, Some c ->
-               rows := ((w, c), (norm, !cur_eps)) :: !rows;
-               cur_w := None;
-               cur_c := None;
-               cur_eps := 0.
-           | _ -> ())
-       | None -> ()
-     done
-   with End_of_file -> close_in ic);
-  !rows
+  match Json.parse (In_channel.with_open_bin file In_channel.input_all) with
+  | exception Sys_error e -> Error e
+  | Error e -> Error (file ^ " does not parse: " ^ e)
+  | Ok doc -> (
+      match Option.bind (Json.member "results" doc) Json.to_list_opt with
+      | None | Some [] -> Error (file ^ " has no \"results\" rows")
+      | Some rows ->
+          let str k r = Option.bind (Json.member k r) Json.to_string_opt in
+          let num k r = Option.bind (Json.member k r) Json.to_float_opt in
+          Ok
+            (List.filter_map
+               (fun r ->
+                 match (str "workload" r, str "config" r) with
+                 | Some w, Some c -> Some ((w, c), Option.value ~default:0. (num "normalized" r))
+                 | _ -> None)
+               rows))
 
-let compare_baseline ~threshold_pct ~baseline rows =
-  let base = load_baseline baseline in
+let compare_baseline ~threshold_pct ~baseline ~base rows =
   let tolerance = 1. -. (threshold_pct /. 100.) in
-  let regressions =
+  let matched =
     List.filter_map
       (fun r ->
         if r.r_config = "no-tool" then None
         else
-          match List.assoc_opt (r.r_workload, r.r_config) base with
-          | None | Some (0., _) -> None
-          | Some (b_norm, _) ->
-              (* normalized throughput is machine-speed independent:
-                 detector events/sec relative to the no-tool run of the
-                 same binary on the same machine *)
-              let ratio = r.r_normalized /. b_norm in
-              if ratio < tolerance then Some (r, b_norm, ratio) else None)
+          Option.map (fun b -> (r, b)) (List.assoc_opt (r.r_workload, r.r_config) base))
       rows
   in
-  (match regressions with
-  | [] -> Printf.printf "baseline comparison OK (threshold %.0f%%, %s)\n" threshold_pct baseline
-  | rs ->
-      Printf.printf "PERF REGRESSION vs %s (threshold %.0f%%):\n" baseline threshold_pct;
-      List.iter
-        (fun (r, b_norm, ratio) ->
-          Printf.printf "  %s/%s: normalized %.3f vs baseline %.3f (%.0f%% of baseline)\n"
-            r.r_workload r.r_config r.r_normalized b_norm (ratio *. 100.))
-        rs);
-  regressions = []
+  let regressions =
+    List.filter_map
+      (fun (r, b_norm) ->
+        if b_norm = 0. then None
+        else
+          (* normalized throughput is machine-speed independent:
+             detector events/sec relative to the no-tool run of the
+             same binary on the same machine *)
+          let ratio = r.r_normalized /. b_norm in
+          if ratio < tolerance then Some (r, b_norm, ratio) else None)
+      matched
+  in
+  if matched = [] then
+    Printf.printf "BASELINE MISMATCH: %s shares no detector row with this run\n" baseline
+  else if regressions = [] then
+    Printf.printf "baseline comparison OK (threshold %.0f%%, %s, %d row(s))\n" threshold_pct
+      baseline (List.length matched)
+  else begin
+    Printf.printf "PERF REGRESSION vs %s (threshold %.0f%%):\n" baseline threshold_pct;
+    List.iter
+      (fun (r, b_norm, ratio) ->
+        Printf.printf "  %s/%s: normalized %.3f vs baseline %.3f (%.0f%% of baseline)\n"
+          r.r_workload r.r_config r.r_normalized b_norm (ratio *. 100.))
+      regressions
+  end;
+  matched <> [] && regressions = []
 
 (* ------------------------------------------------------------------ *)
 
@@ -1530,6 +1357,17 @@ let () =
   in
   parse args;
   if !json_mode then begin
+    (* check the baseline before spending minutes on the suite *)
+    let base =
+      Option.map
+        (fun file ->
+          match load_baseline file with
+          | Ok base -> base
+          | Error e ->
+              Printf.printf "BASELINE ERROR: %s\n" e;
+              exit 2)
+        !baseline
+    in
     let domains = Raceguard_par.Par.resolve !domains in
     Printf.printf "throughput suite: mode=%s seed=%d domains=%d\n%!"
       (if !quick then "quick" else "full")
@@ -1552,9 +1390,10 @@ let () =
           l.sc_cells_per_sec l.sc_speedup l.sc_steals)
       scaling;
     Printf.printf "wrote %s\n" !out;
-    match !baseline with
-    | Some b -> if not (compare_baseline ~threshold_pct:!threshold ~baseline:b rows) then exit 2
-    | None -> ()
+    match (!baseline, base) with
+    | Some baseline, Some base ->
+        if not (compare_baseline ~threshold_pct:!threshold ~baseline ~base rows) then exit 2
+    | _ -> ()
   end
   else begin
     let what = match !positional with [ x ] -> x | _ -> "all" in

@@ -8,12 +8,14 @@ Usage:
         --bench BENCH_par.json --baseline bench/baseline.json
 
 Checks, in order:
-  1. the chaos report parses, has schema raceguard-chaos/1, and every
-     per-cell (sig_digest, behavior_digest) plus the matrix digest is
-     byte-identical to the committed sequential pin;
-  2. the bench JSON parses, has schema raceguard-bench/2, and every
-     (workload, config) row's sig_digest equals the committed
-     baseline's row (parallel audit == sequential audit);
+  1. the chaos report parses, has schema raceguard-chaos/1, has at
+     least one cell, and every per-cell (sig_digest, behavior_digest)
+     plus the matrix digest is byte-identical to the committed
+     sequential pin;
+  2. the bench JSON parses, has schema raceguard-bench/2, has at least
+     one results row, and every (workload, config) row's sig_digest
+     equals the committed baseline's row (parallel audit == sequential
+     audit);
   3. the scaling array's legs all carry the same digest (the bench
      binary already exits 2 on mismatch; this re-asserts from the
      artifact), and — only when this runner has >= 4 CPUs — the
@@ -44,6 +46,8 @@ def check_chaos(chaos_path: str, pin_path: str) -> None:
     if x["seed"] != pin["seed"]:
         fail(f"seed mismatch: run {x['seed']} vs pin {pin['seed']}")
     cells = x["cells"]
+    if not cells:
+        fail("chaos report has no cells")
     if len(cells) != len(pin["cells"]):
         fail(f"cell count {len(cells)} vs pinned {len(pin['cells'])}")
     for i, (got, want) in enumerate(zip(cells, pin["cells"])):
@@ -77,6 +81,8 @@ def check_bench(bench_path: str, baseline_path: str) -> list:
     want = {
         (r["workload"], r["config"]): r["sig_digest"] for r in base["results"]
     }
+    if not x["results"]:
+        fail("bench JSON has no results rows")
     checked = 0
     for r in x["results"]:
         key = (r["workload"], r["config"])

@@ -151,11 +151,6 @@ type cell = {
   cl_shard_audit : string list;  (** {!Sip.Registrar.audit} violations *)
 }
 
-let sig_string (r : Det.Report.t) =
-  let kind, frames = Det.Report.signature r in
-  Fmt.str "%a@%s" Det.Report.pp_kind kind
-    (String.concat ";" (List.map (fun l -> Fmt.str "%a" Raceguard_util.Loc.pp l) frames))
-
 let digest_of_strings sigs =
   Digest.to_hex (Digest.string (String.concat "\n" (List.sort compare sigs)))
 
@@ -297,11 +292,12 @@ let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_c
         [ ("HWLC+DR", { Det.Helgrind.hwlc_dr with fast_path = config.fast_path }) ];
       max_ops = config.max_ops;
       faults = Some inj;
-      recorder;
     }
   in
+  let tools = Option.to_list (Option.map Det.Offline.tool recorder) in
   let result, value =
-    Runner.run_main runner (Sip.Workload.run_chaos_test_case ~transport ~server_config:server tc)
+    Runner.run_main ~tools runner
+      (Sip.Workload.run_chaos_test_case ~transport ~server_config:server tc)
   in
   let cr =
     match value with
@@ -340,7 +336,6 @@ let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_c
     List.filter_map (fun o -> if o.o_ok then None else Some (o.o_name ^ ": " ^ o.o_detail)) oracles
   in
   let locations = Runner.locations_of result "HWLC+DR" in
-  let sigs = List.map (fun (r, _) -> sig_string r) locations in
   let behavior =
     [
       "bound=" ^ String.concat "," cr.cr_bound;
@@ -376,7 +371,7 @@ let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_c
     cl_oracles = oracles;
     cl_violations = violations;
     cl_locations = List.length locations;
-    cl_sig_digest = digest_of_strings sigs;
+    cl_sig_digest = Det.Offline.digest_signatures locations;
     cl_behavior_digest = digest_of_strings behavior;
     cl_unanswered = cr.cr_unanswered;
     cl_wrong_finals = List.length cr.cr_base.r_failures;

@@ -201,14 +201,12 @@ let fig4 ?(seed = default_seed) () =
     let interp, pretty, n_annotated =
       M.Interp.compile ~annotate ~file:"g.mcc" figure4_source
     in
-    let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
-    let vm =
-      Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } ()
+    let cfg =
+      { Runner.default with seed; helgrind_configs = [ ("HWLC+DR", Det.Helgrind.hwlc_dr) ] }
     in
-    Vm.Engine.add_tool vm (Det.Helgrind.tool h);
-    let outcome = Vm.Engine.run vm (fun () -> M.Interp.run_main interp) in
-    assert (outcome.failures = []);
-    (pretty, n_annotated, Det.Helgrind.location_count h)
+    let res, _ = Runner.run_main cfg (fun () -> M.Interp.run_main interp) in
+    assert (res.outcome.failures = []);
+    (pretty, n_annotated, Runner.location_count res "HWLC+DR")
   in
   let _, _, n_plain = run ~annotate:false in
   let pretty, n_annotated, n_instr = run ~annotate:true in
@@ -323,11 +321,10 @@ let false_negatives ?(seeds = 40) () =
     Runner.location_count res "cfg" > 0
   in
   let djit_detected seed =
-    let cfg =
-      { Runner.default with seed; helgrind_configs = []; run_djit = true }
-    in
-    let res, _ = Runner.run_main cfg Scenarios.false_negative_schedule in
-    match res.djit with Some d -> Det.Djit.location_count d > 0 | None -> false
+    let d = Det.Djit.create () in
+    let cfg = { Runner.default with seed; helgrind_configs = [] } in
+    ignore (Runner.run_main ~tools:[ Det.Djit.tool d ] cfg Scenarios.false_negative_schedule);
+    Det.Djit.location_count d > 0
   in
   let count f = List.length (List.filter f (List.init seeds (fun i -> i + 1))) in
   let with_states = count (detected Det.Helgrind.hwlc_dr) in
@@ -534,22 +531,14 @@ let eraser_states_ablation ?(seed = default_seed) () =
 
 let baselines ?(seed = default_seed) () =
   (* run Helgrind, DJIT and the true hybrid tool on the same stream *)
-  let vm_config = { Vm.Engine.default_config with seed } in
-  let vm = Vm.Engine.create ~config:vm_config () in
-  let helgrind = Det.Helgrind.create Det.Helgrind.hwlc_dr in
   let djit = Det.Djit.create () in
   let hybrid = Det.Hybrid.create () in
   let racetrack = Det.Racetrack.create () in
-  Vm.Engine.add_tool vm (Det.Helgrind.tool helgrind);
-  Vm.Engine.add_tool vm (Det.Djit.tool djit);
-  Vm.Engine.add_tool vm (Det.Hybrid.tool hybrid);
-  Vm.Engine.add_tool vm (Det.Racetrack.tool racetrack);
-  let transport = Sip.Transport.create () in
-  let _ =
-    Vm.Engine.run vm (fun () ->
-        ignore
-          (Sip.Workload.run_test_case ~transport ~server_config:Runner.default.server
-             Sip.Workload.t2 ()))
+  let res =
+    Runner.run_test_case
+      ~tools:[ Det.Djit.tool djit; Det.Hybrid.tool hybrid; Det.Racetrack.tool racetrack ]
+      { Runner.default with seed; helgrind_configs = [ ("HWLC+DR", Det.Helgrind.hwlc_dr) ] }
+      Sip.Workload.t2
   in
   Printf.sprintf
     "§2.2 — lock-set vs happens-before vs hybrids on the same execution (T2)\n\n\
@@ -564,7 +553,7 @@ let baselines ?(seed = default_seed) () =
      lock-set warning only when the access is provably concurrent; the\n\
      adaptive detector additionally re-privatises locations whose\n\
      threadset prunes back to one thread.\n"
-    (Det.Helgrind.location_count helgrind)
+    (Runner.location_count res "HWLC+DR")
     (Det.Djit.location_count djit)
     (Det.Hybrid.location_count hybrid)
     (Det.Racetrack.location_count racetrack)
@@ -583,19 +572,10 @@ let median l =
   a.(Array.length a / 2)
 
 let perf ?(seed = default_seed) ?(reps = 3) () =
-  let workload () = Scenarios.handoff_per_request () in
-  ignore workload;
   let run_with tools =
     let samples =
       List.init reps (fun i ->
-          let cfg =
-            {
-              Runner.default with
-              seed = seed + i;
-              helgrind_configs = tools;
-              run_djit = false;
-            }
-          in
+          let cfg = { Runner.default with seed = seed + i; helgrind_configs = tools } in
           let t, _ = time_run (fun () -> Runner.run_test_case cfg Sip.Workload.t2) in
           t)
     in
@@ -624,18 +604,10 @@ let perf ?(seed = default_seed) ?(reps = 3) () =
      process-global metrics registry (the single stats path — no more
      per-instance counter reads or Lockset.stats here) *)
   let run_metrics =
-    let before = Obs.Metrics.snapshot () in
-    let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
-    let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-    Vm.Engine.add_tool vm (Det.Helgrind.tool h);
-    let transport = Sip.Transport.create () in
-    let _ =
-      Vm.Engine.run vm (fun () ->
-          ignore
-            (Sip.Workload.run_test_case ~transport ~server_config:Runner.default.server
-               Sip.Workload.t2 ()))
-    in
-    Obs.Metrics.diff ~before (Obs.Metrics.snapshot ())
+    (Runner.run_test_case
+       { Runner.default with seed; helgrind_configs = [ ("HWLC+DR", Det.Helgrind.hwlc_dr) ] }
+       Sip.Workload.t2)
+      .metrics
   in
   let m name = Option.value ~default:0 (Obs.Metrics.find_counter run_metrics name) in
   let g name = Option.value ~default:0 (Obs.Metrics.find_gauge run_metrics name) in
@@ -659,15 +631,11 @@ let perf ?(seed = default_seed) ?(reps = 3) () =
   let offline_record_t, (rec_len, rec_words, replay_t, offline_locs) =
     time_run (fun () ->
         let recorder = Det.Offline.create_recorder () in
-        let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-        Vm.Engine.add_tool vm (Det.Offline.tool recorder);
-        let transport = Sip.Transport.create () in
-        let _ =
-          Vm.Engine.run vm (fun () ->
-              ignore
-                (Sip.Workload.run_test_case ~transport
-                   ~server_config:Runner.default.server Sip.Workload.t2 ()))
-        in
+        ignore
+          (Runner.run_test_case
+             ~tools:[ Det.Offline.tool recorder ]
+             { Runner.default with seed; helgrind_configs = [] }
+             Sip.Workload.t2);
         let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
         let replay_t, () = time_run (fun () -> Det.Offline.replay recorder (Det.Helgrind.tool h)) in
         ( Det.Offline.length recorder,
@@ -704,13 +672,13 @@ let perf ?(seed = default_seed) ?(reps = 3) () =
 
 let deadlock ?(seed = default_seed) () =
   (* predictive: inversion without a runtime deadlock *)
-  let cfg =
-    { Runner.default with seed; helgrind_configs = []; run_lock_order = true }
-  in
-  let res, _ = Runner.run_main cfg (Scenarios.lock_order_inversion ~force_deadlock:false) in
-  let predicted =
-    match res.lock_order with Some l -> Det.Lock_order.locations l | None -> []
-  in
+  let lock_order = Det.Lock_order.create () in
+  ignore
+    (Runner.run_main
+       ~tools:[ Det.Lock_order.tool lock_order ]
+       { Runner.default with seed; helgrind_configs = [] }
+       (Scenarios.lock_order_inversion ~force_deadlock:false));
+  let predicted = Det.Lock_order.locations lock_order in
   (* runtime: force the interleaving that actually deadlocks *)
   let cfg2 =
     {

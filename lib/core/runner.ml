@@ -18,9 +18,7 @@ type config = {
   policy : Vm.Engine.policy;
   helgrind_configs : (string * Det.Helgrind.config) list;
       (** configurations run side by side on the same event stream *)
-  run_djit : bool;
   run_fasttrack : bool;
-  run_lock_order : bool;
   server : Sip.Proxy.config;
   trace_events : bool;
   max_ops : int;
@@ -28,9 +26,6 @@ type config = {
       (** offered every VM event and every detector decision *)
   faults : Raceguard_faults.Injector.t option;
       (** fault injector consulted by the engine's spawn/lock hooks *)
-  recorder : Det.Offline.recorder option;
-      (** binary trace recorder attached alongside the detectors: the
-          record mode of the offline plane *)
 }
 
 let default =
@@ -43,30 +38,27 @@ let default =
         ("HWLC", Det.Helgrind.hwlc);
         ("HWLC+DR", Det.Helgrind.hwlc_dr);
       ];
-    run_djit = false;
     run_fasttrack = false;
-    run_lock_order = false;
     server = { Sip.Proxy.default_config with annotate = true };
     trace_events = false;
     max_ops = 50_000_000;
     tracer = None;
     faults = None;
-    recorder = None;
   }
 
 type result = {
   helgrind : (string * Det.Helgrind.t) list;
-  djit : Det.Djit.t option;
   fasttrack : Det.Fasttrack.t option;
-  lock_order : Det.Lock_order.t option;
   outcome : Vm.Engine.outcome;
   oracle : Sip.Workload.run_result option;
   wall_seconds : float;
   metrics : Obs.Metrics.snapshot;  (** this run's delta of the global registry *)
 }
 
-(** Run an arbitrary VM main function under the configured detectors. *)
-let run_main config main =
+(** Run an arbitrary VM main function under the configured detectors,
+    with [tools] (recorders, registry sinks, other observers) attached
+    first. *)
+let run_main ?(tools = []) config main =
   let vm_config =
     {
       Vm.Engine.seed = config.seed;
@@ -79,9 +71,7 @@ let run_main config main =
     }
   in
   let vm = Vm.Engine.create ~config:vm_config () in
-  (match config.recorder with
-  | Some r -> Vm.Engine.add_tool vm (Det.Offline.tool r)
-  | None -> ());
+  List.iter (Vm.Engine.add_tool vm) tools;
   let helgrind =
     List.map (fun (name, hc) -> (name, Det.Helgrind.create hc)) config.helgrind_configs
   in
@@ -90,27 +80,11 @@ let run_main config main =
       (match config.tracer with Some tr -> Det.Helgrind.set_tracer h tr | None -> ());
       Vm.Engine.add_tool vm (Det.Helgrind.tool h))
     helgrind;
-  let djit =
-    if config.run_djit then begin
-      let d = Det.Djit.create () in
-      Vm.Engine.add_tool vm (Det.Djit.tool d);
-      Some d
-    end
-    else None
-  in
   let fasttrack =
     if config.run_fasttrack then begin
       let f = Det.Fasttrack.create () in
       Vm.Engine.add_tool vm (Det.Fasttrack.tool f);
       Some f
-    end
-    else None
-  in
-  let lock_order =
-    if config.run_lock_order then begin
-      let l = Det.Lock_order.create () in
-      Vm.Engine.add_tool vm (Det.Lock_order.tool l);
-      Some l
     end
     else None
   in
@@ -122,9 +96,7 @@ let run_main config main =
   let metrics = Obs.Metrics.diff ~before (Obs.Metrics.snapshot ()) in
   ( {
       helgrind;
-      djit;
       fasttrack;
-      lock_order;
       outcome;
       oracle = None;
       wall_seconds = wall;
@@ -133,10 +105,10 @@ let run_main config main =
     !value )
 
 (** Run one of the eight SIP test cases. *)
-let run_test_case config tc =
+let run_test_case ?tools config tc =
   let transport = Sip.Transport.create () in
   let result, oracle =
-    run_main config (Sip.Workload.run_test_case ~transport ~server_config:config.server tc)
+    run_main ?tools config (Sip.Workload.run_test_case ~transport ~server_config:config.server tc)
   in
   { result with oracle }
 

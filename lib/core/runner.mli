@@ -17,9 +17,7 @@ type config = {
   policy : Vm.Engine.policy;
   helgrind_configs : (string * Det.Helgrind.config) list;
       (** named configurations run side by side *)
-  run_djit : bool;
   run_fasttrack : bool;  (** epoch-based HB detector alongside (or instead) *)
-  run_lock_order : bool;
   server : Sip.Proxy.config;
   trace_events : bool;
   max_ops : int;
@@ -30,11 +28,6 @@ type config = {
       (** fault injector handed to the engine (spawn-delay and
           lock-delay faults); share the instance wired into the
           transport and server config for one coherent plan *)
-  recorder : Det.Offline.recorder option;
-      (** binary trace recorder attached alongside the detectors: the
-          record mode of the offline plane.  Recording is a pure
-          observer — schedule, RNG draws and detector reports are
-          unchanged by its presence. *)
 }
 
 val default : config
@@ -43,9 +36,7 @@ val default : config
 
 type result = {
   helgrind : (string * Det.Helgrind.t) list;
-  djit : Det.Djit.t option;
   fasttrack : Det.Fasttrack.t option;
-  lock_order : Det.Lock_order.t option;
   outcome : Vm.Engine.outcome;
   oracle : Sip.Workload.run_result option;
       (** functional verdict when the run was a SIP test case *)
@@ -55,11 +46,17 @@ type result = {
           (VM counters, detector fast-path hits, lockset memo stats) *)
 }
 
-val run_main : config -> (unit -> 'a) -> result * 'a option
-(** Run an arbitrary VM main function under the configured detectors. *)
+val run_main : ?tools:Vm.Tool.t list -> config -> (unit -> 'a) -> result * 'a option
+(** Run an arbitrary VM main function under the configured detectors.
+    [tools] are attached first, before the Helgrind and FastTrack
+    instances: a binary trace recorder ({!Det.Offline.tool}), registry
+    sinks ({!Det.Offline.sink}) or any other observer.  Tools are pure
+    observers — schedule, RNG draws and detector reports are unchanged
+    by their presence. *)
 
-val run_test_case : config -> Sip.Workload.test_case -> result
-(** Run one of the eight SIP test cases (server + drivers + shutdown). *)
+val run_test_case : ?tools:Vm.Tool.t list -> config -> Sip.Workload.test_case -> result
+(** Run one of the eight SIP test cases (server + drivers + shutdown),
+    with [tools] attached as in {!run_main}. *)
 
 val locations_of : result -> string -> (Det.Report.t * int) list
 (** Deduplicated locations of a named configuration; raises

@@ -31,6 +31,9 @@ module Par = Raceguard_par.Par
 
 (* --- record --------------------------------------------------------- *)
 
+(** A detector-free run: whatever observes it comes in as [~tools]. *)
+let plain seed = { Runner.default with seed; helgrind_configs = [] }
+
 type recorded = {
   rec_recorder : Det.Offline.recorder;
   rec_outcome : Vm.Engine.outcome;
@@ -54,20 +57,12 @@ let record_test ?(seed = 7) ?snapshot_every ?(live = []) (tc : Sip.Workload.test
   in
   let recorder = Det.Offline.create_recorder ?snapshot_every ~meta () in
   let sinks = List.map Det.Offline.sink live in
-  let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-  Vm.Engine.add_tool vm (Det.Offline.tool recorder);
-  List.iter (fun s -> Vm.Engine.add_tool vm s.Det.Offline.sk_tool) sinks;
-  let transport = Sip.Transport.create () in
-  let outcome =
-    Vm.Engine.run vm (fun () ->
-        ignore
-          (Sip.Workload.run_test_case ~transport ~server_config:Runner.default.Runner.server
-             tc ()))
-  in
+  let tools = Det.Offline.tool recorder :: List.map (fun s -> s.Det.Offline.sk_tool) sinks in
+  let result = Runner.run_test_case ~tools (plain seed) tc in
   let events = Det.Offline.length recorder in
   {
     rec_recorder = recorder;
-    rec_outcome = outcome;
+    rec_outcome = result.Runner.outcome;
     rec_live = List.map (Det.Offline.verdict_of_sink ~events) sinks;
   }
 
@@ -100,19 +95,11 @@ type deferred = {
     write-behind, means executing it untouched and remembering the
     determinizing inputs. *)
 let record_deferred ?(seed = 7) ?snapshot_every (tc : Sip.Workload.test_case) =
-  let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-  let transport = Sip.Transport.create () in
-  let outcome =
-    Vm.Engine.run vm (fun () ->
-        ignore
-          (Sip.Workload.run_test_case ~transport ~server_config:Runner.default.Runner.server
-             tc ()))
-  in
   {
     df_test = tc;
     df_seed = seed;
     df_snapshot_every = snapshot_every;
-    df_outcome = outcome;
+    df_outcome = (Runner.run_test_case (plain seed) tc).Runner.outcome;
     df_forced = None;
   }
 

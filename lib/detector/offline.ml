@@ -66,7 +66,7 @@ type sink = {
   sk_locations : unit -> (Report.t * int) list;
 }
 
-let sink_of_helgrind name cfg =
+let helgrind cfg name =
   let h = Helgrind.create cfg in
   {
     sk_name = name;
@@ -76,81 +76,54 @@ let sink_of_helgrind name cfg =
     sk_locations = (fun () -> Helgrind.locations h);
   }
 
-let other_config detector = Json.Obj [ ("detector", Json.Str detector) ]
+(** The face the five non-Helgrind detectors share. *)
+module type DETECTOR = sig
+  type t
 
-(** The ten replayable configurations: the paper's Helgrind column
-    (original → HWLC → HWLC+DR → HWLC+DR+HB), the pure-Eraser ablation,
-    the three surveyed baselines, and the epoch-based pair —
-    "fasttrack" pinned byte-identical to "djit", "hybrid-epoch" pinned
-    byte-identical to "hybrid". *)
-let configs =
+  val tool : t -> Vm.Tool.t
+  val reports : t -> Report.t list
+  val locations : t -> (Report.t * int) list
+end
+
+let detector (type d) (module D : DETECTOR with type t = d) ?config (create : unit -> d) name
+    =
+  let d = create () in
+  {
+    sk_name = name;
+    sk_config = Option.value config ~default:(Json.Obj [ ("detector", Json.Str name) ]);
+    sk_tool = D.tool d;
+    sk_occurrences = (fun () -> D.reports d);
+    sk_locations = (fun () -> D.locations d);
+  }
+
+(** The ten replayable configurations, each named once: the paper's
+    Helgrind column (original → HWLC → HWLC+DR → HWLC+DR+HB), the
+    pure-Eraser ablation, the three surveyed baselines, and the
+    epoch-based pair — FastTrack pinned byte-identical to DJIT, the
+    epoch hybrid pinned byte-identical to the vector-clock one. *)
+let registry : (string * (string -> sink)) list =
   [
-    "helgrind-original";
-    "helgrind-hwlc";
-    "helgrind-hwlc+dr";
-    "helgrind-hwlc+dr+hb";
-    "eraser-pure";
-    "djit";
-    "fasttrack";
-    "racetrack";
-    "hybrid";
-    "hybrid-epoch";
+    ("helgrind-original", helgrind Helgrind.original);
+    ("helgrind-hwlc", helgrind Helgrind.hwlc);
+    ("helgrind-hwlc+dr", helgrind Helgrind.hwlc_dr);
+    ("helgrind-hwlc+dr+hb", helgrind Helgrind.hwlc_dr_hb);
+    ("eraser-pure", helgrind Helgrind.pure_eraser);
+    ("djit", detector (module Djit) Djit.create);
+    ( "fasttrack",
+      detector (module Fasttrack)
+        ~config:(Fasttrack.config_to_json Fasttrack.default_config)
+        Fasttrack.create );
+    ("racetrack", detector (module Racetrack) Racetrack.create);
+    ("hybrid", detector (module Hybrid) Hybrid.create);
+    ("hybrid-epoch", detector (module Hybrid) (Hybrid.create ~config:Hybrid.epoch_config));
   ]
 
-let sink = function
-  | "helgrind-original" -> sink_of_helgrind "helgrind-original" Helgrind.original
-  | "helgrind-hwlc" -> sink_of_helgrind "helgrind-hwlc" Helgrind.hwlc
-  | "helgrind-hwlc+dr" -> sink_of_helgrind "helgrind-hwlc+dr" Helgrind.hwlc_dr
-  | "helgrind-hwlc+dr+hb" -> sink_of_helgrind "helgrind-hwlc+dr+hb" Helgrind.hwlc_dr_hb
-  | "eraser-pure" -> sink_of_helgrind "eraser-pure" Helgrind.pure_eraser
-  | "djit" ->
-      let d = Djit.create () in
-      {
-        sk_name = "djit";
-        sk_config = other_config "djit";
-        sk_tool = Djit.tool d;
-        sk_occurrences = (fun () -> Djit.reports d);
-        sk_locations = (fun () -> Djit.locations d);
-      }
-  | "fasttrack" ->
-      let f = Fasttrack.create () in
-      {
-        sk_name = "fasttrack";
-        sk_config = Fasttrack.config_to_json Fasttrack.default_config;
-        sk_tool = Fasttrack.tool f;
-        sk_occurrences = (fun () -> Fasttrack.reports f);
-        sk_locations = (fun () -> Fasttrack.locations f);
-      }
-  | "racetrack" ->
-      let r = Racetrack.create () in
-      {
-        sk_name = "racetrack";
-        sk_config = other_config "racetrack";
-        sk_tool = Racetrack.tool r;
-        sk_occurrences = (fun () -> Racetrack.reports r);
-        sk_locations = (fun () -> Racetrack.locations r);
-      }
-  | "hybrid" ->
-      let h = Hybrid.create () in
-      {
-        sk_name = "hybrid";
-        sk_config = other_config "hybrid";
-        sk_tool = Hybrid.tool h;
-        sk_occurrences = (fun () -> Hybrid.reports h);
-        sk_locations = (fun () -> Hybrid.locations h);
-      }
-  | "hybrid-epoch" ->
-      let h = Hybrid.create ~config:Hybrid.epoch_config () in
-      {
-        sk_name = "hybrid-epoch";
-        sk_config = other_config "hybrid-epoch";
-        sk_tool = Hybrid.tool h;
-        sk_occurrences = (fun () -> Hybrid.reports h);
-        sk_locations = (fun () -> Hybrid.locations h);
-      }
-  | name -> invalid_arg ("Offline.sink: unknown config " ^ name)
+let configs = List.map fst registry
 
-let sinks ?(configs = configs) () = List.map sink configs
+let sink name =
+  match List.assoc_opt name registry with
+  | Some make -> make name
+  | None -> invalid_arg ("Offline.sink: unknown config " ^ name)
 
 (* --- verdicts: what a detector concluded, digested ------------------ *)
 

@@ -66,8 +66,6 @@ val sink : string -> sink
 (** A fresh detector instance for a registry name.
     @raise Invalid_argument on an unknown name. *)
 
-val sinks : ?configs:string list -> unit -> sink list
-
 (** {1 Verdicts} *)
 
 type verdict = {

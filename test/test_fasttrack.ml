@@ -285,17 +285,12 @@ let test_sip_equivalence () =
     (fun (tc : Sip.Workload.test_case) ->
       List.iter
         (fun seed ->
+          let d = Det.Djit.create () in
           let cfg =
-            {
-              R.Runner.default with
-              seed;
-              helgrind_configs = [];
-              run_djit = true;
-              run_fasttrack = true;
-            }
+            { R.Runner.default with seed; helgrind_configs = []; run_fasttrack = true }
           in
-          let res = R.Runner.run_test_case cfg tc in
-          let d = Option.get res.djit and f = Option.get res.fasttrack in
+          let res = R.Runner.run_test_case ~tools:[ Det.Djit.tool d ] cfg tc in
+          let f = Option.get res.fasttrack in
           Alcotest.(check string)
             (Fmt.str "%s seed %d: signature digest" tc.tc_name seed)
             (Det.Offline.digest_signatures (Det.Djit.locations d))

@@ -9,9 +9,7 @@ module Par = Raceguard_par.Par
 module Deque = Raceguard_par.Deque
 module R = Raceguard
 module Det = Raceguard_detector
-module Vm = Raceguard_vm
 module Sip = Raceguard_sip
-module Loc = Raceguard_util.Loc
 
 (* --- deque vs sequential model ------------------------------------- *)
 
@@ -188,23 +186,11 @@ let chaos_pin seed () =
 (* bench-style audit digest: the same per-cell computation the bench
    suite's audit pass does — run a workload under a fresh detector and
    digest the sorted dedup signatures *)
-let sig_string (r : Det.Report.t) =
-  let kind, frames = Det.Report.signature r in
-  Fmt.str "%a@%s" Det.Report.pp_kind kind
-    (String.concat ";" (List.map (fun l -> Fmt.str "%a" Loc.pp l) frames))
-
 let audit_cell ~seed (tc, cfg) =
-  let h = Det.Helgrind.create cfg in
-  let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-  Vm.Engine.add_tool vm (Det.Helgrind.tool h);
-  let transport = Sip.Transport.create () in
-  ignore
-    (Vm.Engine.run vm (fun () ->
-         ignore
-           (Sip.Workload.run_test_case ~transport
-              ~server_config:R.Runner.default.server tc ())));
-  let sigs = List.map (fun (r, _) -> sig_string r) (Det.Helgrind.locations h) in
-  Digest.to_hex (Digest.string (String.concat "\n" (List.sort compare sigs)))
+  let res =
+    R.Runner.run_test_case { R.Runner.default with seed; helgrind_configs = [ ("cfg", cfg) ] } tc
+  in
+  Det.Offline.digest_signatures (R.Runner.locations_of res "cfg")
 
 let bench_audit_digests ~seed ~domains =
   let cells =

@@ -324,6 +324,23 @@ let test_replay_matches_live () =
         [ 7; 42 ])
     Sip.Workload.all_test_cases
 
+(* --- the sink registry ---------------------------------------------------- *)
+
+let test_registry_round_trip () =
+  let names = Det.Offline.configs in
+  Alcotest.(check int) "ten distinct names" 10 (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun name ->
+      Alcotest.(check string)
+        (name ^ " round-trips through sk_name")
+        name (Det.Offline.sink name).sk_name)
+    names
+
+let test_registry_rejects_unknown () =
+  Alcotest.check_raises "unknown name"
+    (Invalid_argument "Offline.sink: unknown config no-such-detector") (fun () ->
+      ignore (Det.Offline.sink "no-such-detector"))
+
 (* --- diffing ------------------------------------------------------------- *)
 
 let fixed_stream n =
@@ -411,6 +428,9 @@ let suite =
       Alcotest.test_case "trace is self-describing" `Slow test_trace_self_describing;
       Alcotest.test_case "replay byte-identical to live (T1-T8 x 10 configs x 2 seeds)" `Slow
         test_replay_matches_live;
+      Alcotest.test_case "registry names round-trip through sk_name" `Quick
+        test_registry_round_trip;
+      Alcotest.test_case "registry rejects an unknown name" `Quick test_registry_rejects_unknown;
       Alcotest.test_case "diff: identical traces" `Quick test_diff_identical;
       Alcotest.test_case "diff pinpoints first divergent event" `Quick
         test_diff_pinpoints_first_divergence;
