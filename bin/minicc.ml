@@ -288,7 +288,7 @@ let run_cmd =
             print_string
               (Det.Suppression.to_string
                  (Det.Suppression.of_frames ~name:"<insert-a-name-here>"
-                    ~kind:(Fmt.str "%a" Det.Report.pp_kind r.kind)
+                    ~kind:(Det.Report.kind_name r.kind)
                     ~frames:r.stack)))
         locations
     in

@@ -60,7 +60,7 @@ let () =
     List.map
       (fun ((r : Det.Report.t), _) ->
         Det.Suppression.of_frames ~name:"benign-progress-counter"
-          ~kind:(Fmt.str "%a" Det.Report.pp_kind r.kind)
+          ~kind:(Det.Report.kind_name r.kind)
           ~frames:r.stack)
       accepted
   in

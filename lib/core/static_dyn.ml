@@ -132,7 +132,7 @@ let to_json t =
                Json.Obj
                  [
                    ("verdict", Json.Str (verdict_to_string e.e_verdict));
-                   ("kind", Json.Str (Fmt.str "%a" Report.pp_kind e.e_kind));
+                   ("kind", Json.Str (Report.kind_name e.e_kind));
                    ( "stack",
                      Json.List (List.map (fun l -> Json.Str (Loc.to_string l)) e.e_stack) );
                  ])

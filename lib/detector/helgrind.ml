@@ -190,6 +190,9 @@ type t = {
   mutable locks : Held_locks.t array;  (** indexed by tid *)
   segments : Segments.t;
   lock_names : (int, string) Hashtbl.t;  (** uid -> name *)
+  details : (int, string) Hashtbl.t;
+      (** rendered "Previous state: …" warning detail by {!state_key};
+          emptied whenever [lock_names] changes *)
   collector : Report.collector;
   hints : (string * int, unit) Hashtbl.t;
       (** (file, line) of allocation sites statically proven
@@ -212,6 +215,7 @@ let create ?(suppressions = []) config =
     locks = [||];
     segments = Segments.create ();
     lock_names = Hashtbl.create 64;
+    details = Hashtbl.create 64;
     collector = Report.collector ~suppressions ();
     hints = Hashtbl.create 8;
     benign = [];
@@ -238,6 +242,22 @@ let name_of t uid =
   match Hashtbl.find_opt t.lock_names uid with
   | Some n -> Printf.sprintf "%S" n
   | None -> Printf.sprintf "lock#%d" uid
+
+(* A state's rendering depends only on its constructor, the owner tid
+   and the (interned) lock-set, plus [lock_names]. *)
+let state_key = function
+  | Virgin -> 0
+  | Exclusive o -> (o.o_tid lsl 2) lor 1
+  | Shared_ro ls -> (Lockset.id ls lsl 2) lor 2
+  | Shared_mod ls -> (Lockset.id ls lsl 2) lor 3
+
+let detail_of t st =
+  let k = state_key st in
+  try Hashtbl.find t.details k
+  with Not_found ->
+    let d = Fmt.str "Previous state: %a" (pp_state ~name_of:(name_of t)) st in
+    Hashtbl.add t.details k d;
+    d
 
 let thread_locks t tid =
   let n = Array.length t.locks in
@@ -361,7 +381,7 @@ let report t (ctx : Vm.Tool.ctx) ~kind ~tid ~addr ~loc ~prev_state ~cell:c =
       tid;
       thread_name = ctx.thread_name tid;
       stack;
-      detail = Fmt.str "Previous state: %a" (pp_state ~name_of:(name_of t)) prev_state;
+      detail = detail_of t prev_state;
       block;
       clock = ctx.clock ();
       provenance;
@@ -556,7 +576,9 @@ let on_event t (ctx : Vm.Tool.ctx) (e : Vm.Event.t) =
   | E_free _ -> ()
   | E_sync_create { sync; name; _ } -> (
       match Lock_id.of_sync_ref sync with
-      | Some uid -> Hashtbl.replace t.lock_names uid name
+      | Some uid ->
+          Hashtbl.replace t.lock_names uid name;
+          Hashtbl.reset t.details
       | None -> ())
   | E_acquire { tid; lock; mode; _ } -> (
       match lock with

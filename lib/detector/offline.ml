@@ -24,6 +24,7 @@
 module Vm = Raceguard_vm
 module Loc = Raceguard_util.Loc
 module Json = Raceguard_obs.Json
+module Metrics = Raceguard_obs.Metrics
 module Trace = Raceguard_trace
 
 (* --- recording ------------------------------------------------------ *)
@@ -129,21 +130,37 @@ let sink name =
 
 let sig_string (r : Report.t) =
   let kind, frames = Report.signature r in
-  Fmt.str "%a@%s" Report.pp_kind kind
-    (String.concat ";" (List.map (fun l -> Fmt.str "%a" Loc.pp l) frames))
-
-let digest_strings lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+  Report.kind_name kind ^ "@" ^ String.concat ";" (List.map Loc.to_string frames)
 
 (** MD5 over the sorted dedup signatures — the same digest the bench
     and chaos fidelity gates use. *)
 let digest_signatures locations =
-  digest_strings (List.sort compare (List.map (fun (r, _) -> sig_string r) locations))
+  let lines = List.sort compare (List.map (fun (r, _) -> sig_string r) locations) in
+  Digest.to_hex (Digest.string (String.concat "\n" lines))
 
-(** MD5 over every occurrence rendered with {!Report.pp}, in
-    chronological order: byte-level equality of the full report stream,
-    not just of its dedup signatures. *)
+let m_digest_occurrences = Metrics.counter "detector.report.digest_occurrences"
+let m_digest_bytes = Metrics.counter "detector.report.digest_bytes"
+
+(** MD5 over every occurrence rendered with {!Report.add_to_buffer}, in
+    chronological order and ['\n']-separated: byte-level equality of
+    the full report stream, not just of its dedup signatures.  The
+    buffer is per call because pool domains digest concurrently.  It is
+    sized for ~400 bytes per occurrence (SIP reports render to 365–510),
+    so the tens of MB of an eraser-pure stream are not reached by
+    doubling copies whose garbage would raise the peak heap. *)
 let digest_reports occurrences =
-  digest_strings (List.map (Fmt.str "%a" Report.pp) occurrences)
+  let b = Buffer.create (max 4096 (400 * List.length occurrences)) in
+  let n =
+    List.fold_left
+      (fun i r ->
+        if i > 0 then Buffer.add_char b '\n';
+        Report.add_to_buffer b r;
+        i + 1)
+      0 occurrences
+  in
+  Metrics.add m_digest_occurrences n;
+  Metrics.add m_digest_bytes (Buffer.length b);
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 type verdict = {
   v_config : string;
@@ -155,13 +172,14 @@ type verdict = {
 }
 
 let verdict_of_sink ~events s =
+  let occurrences = s.sk_occurrences () and locations = s.sk_locations () in
   {
     v_config = s.sk_name;
     v_events = events;
-    v_occurrences = List.length (s.sk_occurrences ());
-    v_locations = List.length (s.sk_locations ());
-    v_sig_digest = digest_signatures (s.sk_locations ());
-    v_report_digest = digest_reports (s.sk_occurrences ());
+    v_occurrences = List.length occurrences;
+    v_locations = List.length locations;
+    v_sig_digest = digest_signatures locations;
+    v_report_digest = digest_reports occurrences;
   }
 
 let verdict_to_json v =

@@ -75,13 +75,17 @@ type verdict = {
   v_locations : int;  (** deduplicated — the Figure-6 metric *)
   v_sig_digest : string;  (** MD5 over the sorted dedup signatures *)
   v_report_digest : string;
-      (** MD5 over every occurrence rendered with {!Report.pp},
-          chronologically — byte-level equality of the report stream *)
+      (** MD5 over every occurrence rendered with
+          {!Report.add_to_buffer}, chronologically — byte-level
+          equality of the report stream *)
 }
 
 val sig_string : Report.t -> string
 val digest_signatures : (Report.t * int) list -> string
 val digest_reports : Report.t list -> string
+(** Renders into one buffer per call (safe on concurrent pool domains)
+    and adds the occurrence and byte counts to the
+    [detector.report.digest_occurrences] / [digest_bytes] counters. *)
 
 val verdict_of_sink : events:int -> sink -> verdict
 val verdict_to_json : verdict -> Json.t

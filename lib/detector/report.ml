@@ -13,10 +13,12 @@ type kind =
   | Race_read  (** read with empty candidate lock-set in Shared-Modified *)
   | Lock_order  (** lock acquisition order inverts an earlier order *)
 
-let pp_kind ppf = function
-  | Race_write -> Fmt.string ppf "Possible data race writing variable"
-  | Race_read -> Fmt.string ppf "Possible data race reading variable"
-  | Lock_order -> Fmt.string ppf "Lock order violation (potential deadlock)"
+let kind_name = function
+  | Race_write -> "Possible data race writing variable"
+  | Race_read -> "Possible data race reading variable"
+  | Lock_order -> "Lock order violation (potential deadlock)"
+
+let pp_kind ppf k = Format.pp_print_string ppf (kind_name k)
 
 type block_info = {
   b_base : int;
@@ -79,21 +81,73 @@ let signature r : signature = (r.kind, take signature_depth r.stack)
 
 (* --- rendering ----------------------------------------------------- *)
 
-let pp_stack ppf stack =
-  List.iteri
-    (fun i loc -> Fmt.pf ppf "   %s %a@\n" (if i = 0 then "at" else "by") Loc.pp loc)
-    stack
+(* [%#x]: "0" for zero, "0x" and lowercase digits otherwise; [lsr]
+   reads a negative int as its unsigned 63-bit pattern, as [%x] does *)
+let add_hex b n =
+  if n = 0 then Buffer.add_char b '0'
+  else begin
+    Buffer.add_string b "0x";
+    let rec digits n =
+      if n <> 0 then begin
+        digits (n lsr 4);
+        Buffer.add_char b (String.unsafe_get "0123456789abcdef" (n land 15))
+      end
+    in
+    digits n
+  end
 
-let pp ppf r =
-  Fmt.pf ppf "%a at %#x@\n" pp_kind r.kind r.addr;
-  pp_stack ppf r.stack;
+(* at most [depth] frames, innermost "at", the rest "by" *)
+let add_stack b ~depth stack =
+  let rec go i = function
+    | loc :: rest when i < depth ->
+        Buffer.add_string b (if i = 0 then "   at " else "   by ");
+        Loc.add_to_buffer b loc;
+        Buffer.add_char b '\n';
+        go (i + 1) rest
+    | _ -> ()
+  in
+  go 0 stack
+
+let add_to_buffer b r =
+  Buffer.add_string b (kind_name r.kind);
+  Buffer.add_string b " at ";
+  add_hex b r.addr;
+  Buffer.add_char b '\n';
+  add_stack b ~depth:max_int r.stack;
   (match r.block with
-  | Some b ->
-      Fmt.pf ppf " Address %#x is %d words inside a block of size %d alloc'd by thread %d@\n"
-        r.addr (r.addr - b.b_base) b.b_len b.b_alloc_tid;
-      pp_stack ppf (take signature_depth b.b_alloc_stack)
+  | Some blk ->
+      Buffer.add_string b " Address ";
+      add_hex b r.addr;
+      Buffer.add_string b " is ";
+      Loc.add_int b (r.addr - blk.b_base);
+      Buffer.add_string b " words inside a block of size ";
+      Loc.add_int b blk.b_len;
+      Buffer.add_string b " alloc'd by thread ";
+      Loc.add_int b blk.b_alloc_tid;
+      Buffer.add_char b '\n';
+      add_stack b ~depth:signature_depth blk.b_alloc_stack
   | None -> ());
-  if r.detail <> "" then Fmt.pf ppf " %s@\n" r.detail
+  if r.detail <> "" then begin
+    Buffer.add_char b ' ';
+    Buffer.add_string b r.detail;
+    Buffer.add_char b '\n'
+  end
+
+(* Each rendered line goes out as one string and a forced newline, so
+   inside a formatter the output is what "...@\n" directives printed. *)
+let pp ppf r =
+  let b = Buffer.create 256 in
+  add_to_buffer b r;
+  let s = Buffer.contents b in
+  let rec lines start =
+    match String.index_from_opt s start '\n' with
+    | Some i ->
+        Format.pp_print_string ppf (String.sub s start (i - start));
+        Format.pp_force_newline ppf ();
+        lines (i + 1)
+    | None -> ()
+  in
+  lines 0
 
 (* Provenance rendering is kept out of [pp] on purpose: [pp] output is
    compared byte-for-byte by the fast-path fidelity tests and by users
@@ -114,7 +168,7 @@ let pp_provenance ppf (p : provenance) =
 
 module Json = Raceguard_obs.Json
 
-let loc_to_json (l : Loc.t) = Json.Str (Fmt.str "%a" Loc.pp l)
+let loc_to_json (l : Loc.t) = Json.Str (Loc.to_string l)
 
 let transition_to_json tr =
   Json.Obj
@@ -138,7 +192,7 @@ let provenance_to_json p =
 let to_json r =
   Json.Obj
     ([
-       ("kind", Json.Str (Fmt.str "%a" pp_kind r.kind));
+       ("kind", Json.Str (kind_name r.kind));
        ("addr", Json.int r.addr);
        ("tid", Json.int r.tid);
        ("thread", Json.Str r.thread_name);
@@ -184,8 +238,9 @@ let collector ?(suppressions = []) () =
   { all = []; by_sig = Sig_map.empty; suppressed = 0; suppressions }
 
 let add c r =
-  if List.exists (fun s -> Suppression.matches s ~kind:(Fmt.str "%a" pp_kind r.kind) ~stack:r.stack) c.suppressions
-  then c.suppressed <- c.suppressed + 1
+  let kind = kind_name r.kind in
+  if List.exists (fun s -> Suppression.matches s ~kind ~stack:r.stack) c.suppressions then
+    c.suppressed <- c.suppressed + 1
   else begin
     c.all <- r :: c.all;
     let s = signature r in

@@ -12,6 +12,11 @@ type kind =
   | Race_read  (** read with empty candidate lock-set (Shared-Modified) *)
   | Lock_order  (** lock acquisition inverts an established order *)
 
+val kind_name : kind -> string
+(** The report headline, e.g. ["Possible data race writing variable"]:
+    the one kind text that rendering, JSON, dedup signatures and
+    suppression matching share. *)
+
 val pp_kind : Format.formatter -> kind -> unit
 
 type block_info = {
@@ -63,11 +68,15 @@ type signature = kind * Loc.t list
 
 val signature : t -> signature
 
-val pp : Format.formatter -> t -> unit
+val add_to_buffer : Buffer.t -> t -> unit
 (** Valgrind-style rendering: headline, "at/by" stack, allocation
-    footer, previous-state line.  Deliberately does {e not} render
-    provenance — the byte-stability tests compare this output across
-    fast-path modes, and provenance is an opt-in second section. *)
+    footer, previous-state line, each line ending in ['\n'].
+    Deliberately does {e not} render provenance — the byte-stability
+    tests compare this output across fast-path modes, and provenance is
+    an opt-in second section. *)
+
+val pp : Format.formatter -> t -> unit
+(** {!add_to_buffer}'s text, each line ended by a forced newline. *)
 
 val pp_provenance : Format.formatter -> provenance -> unit
 (** The explain trace: one line per shadow-state transition, the elided

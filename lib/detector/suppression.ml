@@ -36,9 +36,7 @@ let glob_match pattern s =
   in
   go 0 0
 
-let frame_to_string loc =
-  Printf.sprintf "%s (%s:%d)" (Raceguard_util.Loc.func loc) (Raceguard_util.Loc.file loc)
-    (Raceguard_util.Loc.line loc)
+let frame_to_string = Raceguard_util.Loc.to_string
 
 let matches t ~kind ~stack =
   glob_match t.kind_pattern kind
@@ -49,7 +47,7 @@ let matches t ~kind ~stack =
     | _ :: _, [] -> false
     | p :: ps, f :: fs -> glob_match p (frame_to_string f) && go ps fs
   in
-  go t.frame_patterns (List.map (fun l -> l) stack)
+  go t.frame_patterns stack
 
 (* --- parsing -------------------------------------------------------- *)
 

@@ -168,7 +168,7 @@ let n_rejected t =
 let sig_json (kind, stack) =
   Json.Obj
     [
-      ("kind", Json.Str (Fmt.str "%a" Report.pp_kind kind));
+      ("kind", Json.Str (Report.kind_name kind));
       ( "stack",
         Json.List
           (List.map

@@ -955,7 +955,7 @@ let analyse (p : program) : result =
           && (not (Hashtbl.mem warned a))
           && not (ISet.is_empty (ISet.remove bus a.a_locks))
         then begin
-          let kind = Fmt.str "%a" Report.pp_kind (kind_of a) in
+          let kind = Report.kind_name (kind_of a) in
           let key = Fmt.str "%s|%s" kind (render_stack (take Report.signature_depth a.a_stack)) in
           if Hashtbl.mem sup_seen key then None
           else begin
@@ -1057,12 +1057,12 @@ let span_json (p : Token.pos) =
 let warning_json w =
   Json.Obj
     [
-      ("kind", Json.Str (Fmt.str "%a" Report.pp_kind w.w_kind));
+      ("kind", Json.Str (Report.kind_name w.w_kind));
       ("target", Json.Str (field_desc w.w_field));
       ("site", site_json w.w_site);
       ("span", span_json w.w_pos);
       ("stack", Json.List (List.map loc_json w.w_stack));
-      ("conflict_kind", Json.Str (Fmt.str "%a" Report.pp_kind w.w_counter_kind));
+      ("conflict_kind", Json.Str (Report.kind_name w.w_counter_kind));
       ("conflict_span", span_json w.w_counter_pos);
       ("conflict_stack", Json.List (List.map loc_json w.w_counter_stack));
     ]

@@ -28,9 +28,29 @@ let equal a b = compare a b = 0
 
 let hash t = Hashtbl.hash (t.file, t.func, t.line)
 
-let pp ppf t = Fmt.pf ppf "%s (%s:%d)" t.func t.file t.line
+let add_int b n =
+  if n < 0 then Buffer.add_string b (string_of_int n)
+  else
+    let rec digits n =
+      if n >= 10 then digits (n / 10);
+      Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+    in
+    digits n
 
-let to_string t = Fmt.str "%a" pp t
+let add_to_buffer b t =
+  Buffer.add_string b t.func;
+  Buffer.add_string b " (";
+  Buffer.add_string b t.file;
+  Buffer.add_char b ':';
+  add_int b t.line;
+  Buffer.add_char b ')'
+
+let to_string t =
+  let b = Buffer.create (String.length t.func + String.length t.file + 16) in
+  add_to_buffer b t;
+  Buffer.contents b
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 module Set = Set.Make (struct
   type nonrec t = t

@@ -21,9 +21,15 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 
-val pp : Format.formatter -> t -> unit
-(** Renders as ["func (file:line)"]. *)
+val add_int : Buffer.t -> int -> unit
+(** Appends [string_of_int n] without allocating it (for [n >= 0]) —
+    the number writer of {!add_to_buffer}, shared by report rendering. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends ["func (file:line)"] — the one frame text that {!pp},
+    {!to_string}, report rendering and suppression matching share. *)
+
+val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 module Set : Set.S with type elt = t

@@ -431,6 +431,154 @@ let qc_glob_star_prefix =
           (make ~name:"t" ~kind_pattern:(prefix ^ "*") ~frame_patterns:[])
           ~kind:(prefix ^ rest) ~stack:[]))
 
+(* --- report rendering ------------------------------------------------------ *)
+
+(* The Format-based renderer that [Report.pp] was before reports were
+   rendered into a Buffer, kept as the byte-for-byte oracle. *)
+let reference_pp_kind ppf = function
+  | Det.Report.Race_write -> Fmt.string ppf "Possible data race writing variable"
+  | Race_read -> Fmt.string ppf "Possible data race reading variable"
+  | Lock_order -> Fmt.string ppf "Lock order violation (potential deadlock)"
+
+let reference_pp_loc ppf (l : Loc.t) = Fmt.pf ppf "%s (%s:%d)" l.func l.file l.line
+
+let reference_pp_stack ppf stack =
+  List.iteri
+    (fun i loc -> Fmt.pf ppf "   %s %a@\n" (if i = 0 then "at" else "by") reference_pp_loc loc)
+    stack
+
+let reference_pp ppf (r : Det.Report.t) =
+  Fmt.pf ppf "%a at %#x@\n" reference_pp_kind r.kind r.addr;
+  reference_pp_stack ppf r.stack;
+  (match r.block with
+  | Some b ->
+      Fmt.pf ppf " Address %#x is %d words inside a block of size %d alloc'd by thread %d@\n"
+        r.addr (r.addr - b.b_base) b.b_len b.b_alloc_tid;
+      reference_pp_stack ppf
+        (List.filteri (fun i _ -> i < Det.Report.signature_depth) b.b_alloc_stack)
+  | None -> ());
+  if r.detail <> "" then Fmt.pf ppf " %s@\n" r.detail
+
+let reference_sig_string r =
+  let kind, frames = Det.Report.signature r in
+  Fmt.str "%a@%s" reference_pp_kind kind
+    (String.concat ";" (List.map (Fmt.str "%a" reference_pp_loc) frames))
+
+let gen_report =
+  let open QCheck2.Gen in
+  let gen_text = string_size ~gen:printable (int_bound 12) in
+  let gen_loc = map3 (fun file func line -> Loc.v file func line) gen_text gen_text int in
+  let gen_stack = list_size (int_bound 7) gen_loc in
+  let gen_addr = oneof [ return 0; int_bound 4096; int ] in
+  let gen_block =
+    map4
+      (fun b_base b_len b_alloc_tid b_alloc_stack ->
+        { Det.Report.b_base; b_len; b_alloc_tid; b_alloc_stack })
+      gen_addr (int_bound 64) (int_bound 8) gen_stack
+  in
+  let* kind = oneofl [ Det.Report.Race_write; Race_read; Lock_order ] in
+  let* addr = gen_addr in
+  let* tid = int_bound 8 in
+  let* stack = gen_stack in
+  let* detail = oneof [ return ""; return "Previous state: shared RO, no locks"; gen_text ] in
+  let* block = option gen_block in
+  let* clock = int_bound 100_000 in
+  return
+    {
+      Det.Report.kind;
+      addr;
+      tid;
+      thread_name = "t";
+      stack;
+      detail;
+      block;
+      clock;
+      provenance = None;
+    }
+
+let qc_renderer_matches_reference =
+  QCheck2.Test.make ~name:"report renderer = Format reference, byte for byte" ~count:500
+    ~print:(Fmt.str "%a" reference_pp) gen_report (fun r ->
+      let expected = Fmt.str "%a" reference_pp r in
+      let b = Buffer.create 64 in
+      Det.Report.add_to_buffer b r;
+      Buffer.contents b = expected
+      && Fmt.str "%a" Det.Report.pp r = expected
+      && Det.Offline.sig_string r = reference_sig_string r
+      && Det.Report.kind_name r.kind = Fmt.str "%a" reference_pp_kind r.kind
+      && List.for_all (fun l -> Loc.to_string l = Fmt.str "%a" reference_pp_loc l) r.stack)
+
+let test_renderer_edge_cases () =
+  let frame i = Loc.v "f.cpp" (Printf.sprintf "fn%d" i) i in
+  let r =
+    {
+      Det.Report.kind = Race_write;
+      addr = 0;
+      tid = 1;
+      thread_name = "t";
+      stack = [];
+      detail = "";
+      block =
+        Some
+          {
+            b_base = 0;
+            b_len = 4;
+            b_alloc_tid = 0;
+            b_alloc_stack = List.init (Det.Report.signature_depth + 3) frame;
+          };
+      clock = 0;
+      provenance = None;
+    }
+  in
+  let expected =
+    "Possible data race writing variable at 0\n\
+    \ Address 0 is 0 words inside a block of size 4 alloc'd by thread 0\n\
+    \   at fn0 (f.cpp:0)\n\
+    \   by fn1 (f.cpp:1)\n\
+    \   by fn2 (f.cpp:2)\n\
+    \   by fn3 (f.cpp:3)\n"
+  in
+  Alcotest.(check string) "reference agrees" expected (Fmt.str "%a" reference_pp r);
+  Alcotest.(check string)
+    "address 0 as 0, no stack lines, alloc stack cut at the signature depth, no detail line"
+    expected (Fmt.str "%a" Det.Report.pp r)
+
+(* A warning's "Previous state" detail names the locks in the state.
+   Helgrind caches the rendering per state, so naming a lock after a
+   detail mentioning it was rendered must not leave the old text in
+   later warnings. *)
+let test_detail_cache_follows_lock_names () =
+  let module Trace = Raceguard_trace in
+  let module Event = Vm.Event in
+  let w = Trace.Writer.create () in
+  let clock = ref 0 in
+  let add event =
+    incr clock;
+    Trace.Writer.add_entry w ~event ~clock:!clock ~stack:[] ~thread_name:"t" ~block:None
+  in
+  let write tid addr = add (Event.E_write { tid; addr; value = 0; atomic = false; loc }) in
+  let lock = Event.Mutex 3 in
+  (* [addr] goes Exclusive(0) -> Shared_mod {m} -> empty: one warning
+     whose previous state is "shared modified, {m}" *)
+  let race_on addr =
+    write 0 addr;
+    add (Event.E_acquire { tid = 1; lock; mode = Vm.Eff.Write_mode; loc });
+    write 1 addr;
+    add (Event.E_release { tid = 1; lock; loc });
+    write 0 addr
+  in
+  race_on 10;
+  add (Event.E_sync_create { tid = 0; sync = lock; name = "m"; loc });
+  race_on 11;
+  let h = Helgrind.create Helgrind.hwlc in
+  (match Trace.Reader.of_string (Trace.Writer.contents w) with
+  | Ok t -> Trace.Reader.replay t [ Helgrind.tool h ]
+  | Error (`Msg m) -> Alcotest.fail m);
+  Alcotest.(check (list string))
+    "details before and after the lock is named"
+    [ "Previous state: shared modified, {lock#7}"; "Previous state: shared modified, {\"m\"}" ]
+    (List.map (fun (r : Det.Report.t) -> r.detail) (Helgrind.reports h))
+
 let suite =
   ( "detector",
     [
@@ -465,4 +613,8 @@ let suite =
       Alcotest.test_case "suppression parse error" `Quick test_suppression_parse_error;
       QCheck_alcotest.to_alcotest qc_glob_literal;
       QCheck_alcotest.to_alcotest qc_glob_star_prefix;
+      QCheck_alcotest.to_alcotest qc_renderer_matches_reference;
+      Alcotest.test_case "renderer edge cases" `Quick test_renderer_edge_cases;
+      Alcotest.test_case "detail cache follows lock names" `Quick
+        test_detail_cache_follows_lock_names;
     ] )

@@ -14,6 +14,8 @@
      eight registry detector configurations replayed from the trace (at
      1 and 4 domains) produce verdicts byte-identical to the detectors
      that watched the run live;
+   - the report-stream pin: every configuration's report digest on
+     T1-T8 at seed 7, live and replayed, equals a committed hex value;
    - trace diffing: identical traces have no divergence; a mutated
      stream is pinpointed at the exact first divergent event;
    - recorder throughput metrics ride the Obs.Metrics registry. *)
@@ -324,6 +326,116 @@ let test_replay_matches_live () =
         [ 7; 42 ])
     Sip.Workload.all_test_cases
 
+(* Every other check compares two verdicts that go through the same
+   renderer; these pin the report stream itself.  [v_report_digest] of
+   every registry configuration on T1-T8 at seed 7, as produced by the
+   Format-based renderer that preceded [Report.add_to_buffer]. *)
+let report_digest_pins =
+  [
+    ("T1", "helgrind-original", "812ecc3fd17831ccaad4f2e9c7416e67");
+    ("T1", "helgrind-hwlc", "1d6ea7a9b9964047f9c15d6550e9123a");
+    ("T1", "helgrind-hwlc+dr", "f6a301a06334ea25072b3294127997df");
+    ("T1", "helgrind-hwlc+dr+hb", "1b97cca61efa43a2d5120f9d031a4c0c");
+    ("T1", "eraser-pure", "3a18ba0a62d2a1a560635a3b9895554f");
+    ("T1", "djit", "99adc137e2de694b4d00e32ea6a9199f");
+    ("T1", "fasttrack", "99adc137e2de694b4d00e32ea6a9199f");
+    ("T1", "racetrack", "ead82a7856d40bf0d8f0102aa49604e7");
+    ("T1", "hybrid", "f47f5b4b0d75755ddb4ec9db53c0a739");
+    ("T1", "hybrid-epoch", "f47f5b4b0d75755ddb4ec9db53c0a739");
+    ("T2", "helgrind-original", "193bb68f189ed122342a9225e1c988fe");
+    ("T2", "helgrind-hwlc", "a61c97f6d2b61f65eb553fe751f9e928");
+    ("T2", "helgrind-hwlc+dr", "120ad731887c49faf2ab29741c96e020");
+    ("T2", "helgrind-hwlc+dr+hb", "bcede5cb78c6b371c1a95177f8e7f4b1");
+    ("T2", "eraser-pure", "8b942027c80e620810af59b02722d99d");
+    ("T2", "djit", "99658d385e826cd34a732b7f17f13789");
+    ("T2", "fasttrack", "99658d385e826cd34a732b7f17f13789");
+    ("T2", "racetrack", "deb67308754577cd27deae28e6fc4f93");
+    ("T2", "hybrid", "4cd18234bc50e784b8a3963e1a5e8b94");
+    ("T2", "hybrid-epoch", "4cd18234bc50e784b8a3963e1a5e8b94");
+    ("T3", "helgrind-original", "6c20b2a1f7f3a54275a1a6081b165832");
+    ("T3", "helgrind-hwlc", "941c29f736c2c72a41c9e93fdf595d55");
+    ("T3", "helgrind-hwlc+dr", "80c716869ea035545c32120f3f51b1c6");
+    ("T3", "helgrind-hwlc+dr+hb", "032d3b8fc6130520eb1b2b8b5fbcf1ef");
+    ("T3", "eraser-pure", "2dd93c9a8724ada734337767352f6af4");
+    ("T3", "djit", "aaea108946133cf82a0dcada35206579");
+    ("T3", "fasttrack", "aaea108946133cf82a0dcada35206579");
+    ("T3", "racetrack", "d8e253714aeb9fb7270b4dcaeaf95118");
+    ("T3", "hybrid", "aeed4e36cb31c15e47beaea305c4ca89");
+    ("T3", "hybrid-epoch", "aeed4e36cb31c15e47beaea305c4ca89");
+    ("T4", "helgrind-original", "11b40f57566afb523eb10d20444c02b3");
+    ("T4", "helgrind-hwlc", "1f22a829e8fcbc4a26fa1ce0ce7a8adc");
+    ("T4", "helgrind-hwlc+dr", "a9ba8aaa23813d111410c4132d0de68a");
+    ("T4", "helgrind-hwlc+dr+hb", "2f0d2ec6c240f01d8fdfb820b18daf2f");
+    ("T4", "eraser-pure", "cb47e9734a5db363c9cdf2ab8ea9f076");
+    ("T4", "djit", "1b07d80a46ac6554f1a37218e33696f1");
+    ("T4", "fasttrack", "1b07d80a46ac6554f1a37218e33696f1");
+    ("T4", "racetrack", "d784a8418cfdb5205d6ab7b49ad7393a");
+    ("T4", "hybrid", "de90f51bbcddbd8ae722209986207422");
+    ("T4", "hybrid-epoch", "de90f51bbcddbd8ae722209986207422");
+    ("T5", "helgrind-original", "54b4b96b0987467242caf002770195b9");
+    ("T5", "helgrind-hwlc", "078b9edb4a0d587beafdd785b5de623b");
+    ("T5", "helgrind-hwlc+dr", "e5927f2008a4539fac1edba825d8a8c9");
+    ("T5", "helgrind-hwlc+dr+hb", "81241fc169803f3f6b12fa3576299f91");
+    ("T5", "eraser-pure", "96323129db6cd64328b5cc2c2ec6a0ac");
+    ("T5", "djit", "85bbf915d23a7a8b7cc2831708d46a0d");
+    ("T5", "fasttrack", "85bbf915d23a7a8b7cc2831708d46a0d");
+    ("T5", "racetrack", "6d8f639e271cfa4a6a98fdabb29c1cb3");
+    ("T5", "hybrid", "b9d33b2baf7fda8412371f91b2a32a32");
+    ("T5", "hybrid-epoch", "b9d33b2baf7fda8412371f91b2a32a32");
+    ("T6", "helgrind-original", "f142e03cceb2dba58bdd784dcb0536bb");
+    ("T6", "helgrind-hwlc", "cbb12f6b17c842fcdf560796a7df0172");
+    ("T6", "helgrind-hwlc+dr", "63d565ab95f2fe5440e7baadbf8209e0");
+    ("T6", "helgrind-hwlc+dr+hb", "4b3b43b473becfaffeed073b3c9ebb25");
+    ("T6", "eraser-pure", "da29cebf98eaba67a087f838470d56c8");
+    ("T6", "djit", "9719044259538466b547e85bd87cf20c");
+    ("T6", "fasttrack", "9719044259538466b547e85bd87cf20c");
+    ("T6", "racetrack", "06967aedcb2a46bb9d9ccd663a90913c");
+    ("T6", "hybrid", "e26ee121381b38f33ca2815e3ae27d1f");
+    ("T6", "hybrid-epoch", "e26ee121381b38f33ca2815e3ae27d1f");
+    ("T7", "helgrind-original", "d4960ba9b30df969a1e2f884f9ac5c94");
+    ("T7", "helgrind-hwlc", "c449805cc6861b143fc9b14cd7df1174");
+    ("T7", "helgrind-hwlc+dr", "98000bdefb39c3d1887fd5a4afc0b31d");
+    ("T7", "helgrind-hwlc+dr+hb", "4810c84f49e461201bdeff4891272f97");
+    ("T7", "eraser-pure", "47de8fae885901ef44fed5c6f88babf7");
+    ("T7", "djit", "faf6f9db851e8477ed4b0fb533cc5f16");
+    ("T7", "fasttrack", "faf6f9db851e8477ed4b0fb533cc5f16");
+    ("T7", "racetrack", "0f82ba5a4ce68f03bbaabf02f686cebc");
+    ("T7", "hybrid", "630db80236dab562b54fb374f2af0dbf");
+    ("T7", "hybrid-epoch", "630db80236dab562b54fb374f2af0dbf");
+    ("T8", "helgrind-original", "7b9ec3078e01a93d155e3185900a4288");
+    ("T8", "helgrind-hwlc", "2842d83ee18f5a41c7ae25e6d2a8467f");
+    ("T8", "helgrind-hwlc+dr", "a44466c3bd3819ad4eff1686c7ffd440");
+    ("T8", "helgrind-hwlc+dr+hb", "21dfb493a57386fe0f8a8266a61d1ca0");
+    ("T8", "eraser-pure", "02fc49dddc48bdf454464574c5e4657f");
+    ("T8", "djit", "7e7b2b52156e5599754f70118bb419eb");
+    ("T8", "fasttrack", "7e7b2b52156e5599754f70118bb419eb");
+    ("T8", "racetrack", "701117859239f5df207390538e336aa7");
+    ("T8", "hybrid", "b3f48b952eea606205006ff32e17dd24");
+    ("T8", "hybrid-epoch", "b3f48b952eea606205006ff32e17dd24");
+  ]
+
+let test_report_digests_pinned () =
+  List.iter
+    (fun (tc : Sip.Workload.test_case) ->
+      let r = R.Trace_ops.record_test ~seed:7 ~live:Det.Offline.configs tc in
+      let trace = decode_exn (Det.Offline.contents r.rec_recorder) in
+      let replayed = R.Trace_ops.replay_parallel trace in
+      List.iter
+        (fun (side, verdicts) ->
+          List.iter
+            (fun (v : Det.Offline.verdict) ->
+              let pin =
+                List.find_map
+                  (fun (t, c, d) -> if t = tc.tc_name && c = v.v_config then Some d else None)
+                  report_digest_pins
+              in
+              Alcotest.(check (option string))
+                (Fmt.str "%s %s %s report digest" tc.tc_name v.v_config side)
+                pin (Some v.v_report_digest))
+            verdicts)
+        [ ("live", r.rec_live); ("replayed", replayed) ])
+    Sip.Workload.all_test_cases
+
 (* --- the sink registry ---------------------------------------------------- *)
 
 let test_registry_round_trip () =
@@ -428,6 +540,8 @@ let suite =
       Alcotest.test_case "trace is self-describing" `Slow test_trace_self_describing;
       Alcotest.test_case "replay byte-identical to live (T1-T8 x 10 configs x 2 seeds)" `Slow
         test_replay_matches_live;
+      Alcotest.test_case "report digests pinned (T1-T8 x 10 configs, seed 7)" `Slow
+        test_report_digests_pinned;
       Alcotest.test_case "registry names round-trip through sk_name" `Quick
         test_registry_round_trip;
       Alcotest.test_case "registry rejects an unknown name" `Quick test_registry_rejects_unknown;
