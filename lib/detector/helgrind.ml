@@ -243,6 +243,8 @@ let name_of t uid =
   | Some n -> Printf.sprintf "%S" n
   | None -> Printf.sprintf "lock#%d" uid
 
+let render_state t st = Fmt.str "%a" (pp_state ~name_of:(name_of t)) st
+
 (* A state's rendering depends only on its constructor, the owner tid
    and the (interned) lock-set, plus [lock_names]. *)
 let state_key = function
@@ -255,7 +257,7 @@ let detail_of t st =
   let k = state_key st in
   try Hashtbl.find t.details k
   with Not_found ->
-    let d = Fmt.str "Previous state: %a" (pp_state ~name_of:(name_of t)) st in
+    let d = "Previous state: " ^ render_state t st in
     Hashtbl.add t.details k d;
     d
 
@@ -315,15 +317,14 @@ let max_history = 12
    recorded history is byte-identical across fast-path modes. *)
 let record_transition t (ctx : Vm.Tool.ctx) c ~tid ~access ~from_st ~to_st ~loc =
   Metrics.incr m_transitions;
-  let render st = Fmt.str "%a" (pp_state ~name_of:(name_of t)) st in
   (match t.tracer with
   | None -> ()
   | Some tr ->
       Trace.emit tr ~ts:(ctx.clock ()) ~tid ~name:"state_transition" ~cat:"detector"
         ~args:
           [
-            ("from", Raceguard_obs.Json.Str (render from_st));
-            ("to", Raceguard_obs.Json.Str (render to_st));
+            ("from", Raceguard_obs.Json.Str (render_state t from_st));
+            ("to", Raceguard_obs.Json.Str (render_state t to_st));
             ("access", Raceguard_obs.Json.Str access);
           ]
         ());
@@ -335,9 +336,9 @@ let record_transition t (ctx : Vm.Tool.ctx) c ~tid ~access ~from_st ~to_st ~loc 
           Report.t_clock = ctx.clock ();
           t_tid = tid;
           t_access = access;
-          t_from = render from_st;
-          t_to = render to_st;
-          t_loc = loc;
+          t_from = render_state t from_st;
+          t_to = render_state t to_st;
+          t_loc = Some loc;
         }
         :: c.hist;
       c.hist_len <- c.hist_len + 1
@@ -386,6 +387,22 @@ let report t (ctx : Vm.Tool.ctx) ~kind ~tid ~addr ~loc ~prev_state ~cell:c =
       clock = ctx.clock ();
       provenance;
     }
+
+(* The slow path's two actions, top-level so a slow-path access
+   allocates no closures.  [set_st] records then stores, so a warning
+   issued just after sees its own transition at the end of the
+   history. *)
+let set_st t ctx c ~tid ~access ~prev ~loc to_st =
+  let access = match access with Read -> "read" | Write -> "write" in
+  record_transition t ctx c ~tid ~access ~from_st:prev ~to_st ~loc;
+  c.st <- to_st
+
+let warn t ctx c ~tid ~addr ~loc ~prev kind ls =
+  if
+    Lockset.is_empty ls
+    && (not (is_benign t addr))
+    && (match t.warning_filter with None -> true | Some f -> f ~tid ~addr ~kind)
+  then report t ctx ~kind ~tid ~addr ~loc ~prev_state:prev ~cell:c
 
 (* Fast-path soundness: the stamp records the interned effective sets
    the last (slow-path) access to this word applied, so when the stamp
@@ -447,20 +464,6 @@ let check_access t ctx ~access ~tid ~addr ~atomic ~loc =
       end
       else begin
         let seg = Segments.seg_of t.segments tid in
-        let access_s = match access with Read -> "read" | Write -> "write" in
-        (* record-then-store, so the warning issued just below sees its
-           own transition at the end of the history *)
-        let set_st to_st =
-          record_transition t ctx c ~tid ~access:access_s ~from_st:prev ~to_st ~loc:(Some loc);
-          c.st <- to_st
-        in
-        let warn kind ls =
-          if
-            Lockset.is_empty ls
-            && (not (is_benign t addr))
-            && (match t.warning_filter with None -> true | Some f -> f ~tid ~addr ~kind)
-          then report t ctx ~kind ~tid ~addr ~loc ~prev_state:prev ~cell:c
-        in
         (if not t.config.eraser_states then begin
            (* pure Eraser: C(v) starts at Top and is refined by every access *)
            let ls_prev = match prev with Shared_mod ls -> ls | _ -> Lockset.top in
@@ -471,54 +474,57 @@ let check_access t ctx ~access ~tid ~addr ~atomic ~loc =
            in
            (match prev with
            | Shared_mod ls0 when ls0 == ls -> ()  (* interned: same set, same state *)
-           | _ -> set_st (Shared_mod ls));
+           | _ -> set_st t ctx c ~tid ~access ~prev ~loc (Shared_mod ls));
            match access with
-           | Read -> warn Report.Race_read ls
-           | Write -> warn Report.Race_write ls
+           | Read -> warn t ctx c ~tid ~addr ~loc ~prev Report.Race_read ls
+           | Write -> warn t ctx c ~tid ~addr ~loc ~prev Report.Race_write ls
          end
          else
            match prev with
-           | Virgin -> set_st (Exclusive { o_tid = tid; o_seg = seg })
+           | Virgin ->
+               set_st t ctx c ~tid ~access ~prev ~loc (Exclusive { o_tid = tid; o_seg = seg })
            | Exclusive o ->
                if o.o_tid = tid then begin
                  (* same owner: only a segment advance is a genuine
                     change (and the only case the fast path lets
                     through here) *)
-                 if o.o_seg <> seg then set_st (Exclusive { o_tid = tid; o_seg = seg })
+                 if o.o_seg <> seg then
+                   set_st t ctx c ~tid ~access ~prev ~loc (Exclusive { o_tid = tid; o_seg = seg })
                end
                else if t.config.thread_segments && Segments.happens_before t.segments o.o_seg seg
                then
                  (* ownership passes to the later segment; stays exclusive *)
-                 set_st (Exclusive { o_tid = tid; o_seg = seg })
+                 set_st t ctx c ~tid ~access ~prev ~loc (Exclusive { o_tid = tid; o_seg = seg })
                else begin
                  (* second thread: initialise the candidate set with the locks
                     active at this access and start checking *)
                  match access with
-                 | Read -> set_st (Shared_ro any_set)
+                 | Read -> set_st t ctx c ~tid ~access ~prev ~loc (Shared_ro any_set)
                  | Write ->
-                     set_st (Shared_mod write_set);
-                     warn Report.Race_write write_set
+                     set_st t ctx c ~tid ~access ~prev ~loc (Shared_mod write_set);
+                     warn t ctx c ~tid ~addr ~loc ~prev Report.Race_write write_set
                end
            | Shared_ro ls -> (
                match access with
                | Read ->
                    let ls' = Lockset.inter ls any_set in
-                   if ls' != ls then set_st (Shared_ro ls')
+                   if ls' != ls then set_st t ctx c ~tid ~access ~prev ~loc (Shared_ro ls')
                | Write ->
                    let ls = Lockset.inter ls write_set in
-                   set_st (Shared_mod ls);
-                   warn Report.Race_write ls
+                   set_st t ctx c ~tid ~access ~prev ~loc (Shared_mod ls);
+                   warn t ctx c ~tid ~addr ~loc ~prev Report.Race_write ls
                )
            | Shared_mod ls -> (
                match access with
                | Read ->
                    let ls' = Lockset.inter ls any_set in
-                   if ls' != ls then set_st (Shared_mod ls');
-                   if t.config.report_reads then warn Report.Race_read ls'
+                   if ls' != ls then set_st t ctx c ~tid ~access ~prev ~loc (Shared_mod ls');
+                   if t.config.report_reads then
+                     warn t ctx c ~tid ~addr ~loc ~prev Report.Race_read ls'
                | Write ->
                    let ls' = Lockset.inter ls write_set in
-                   if ls' != ls then set_st (Shared_mod ls');
-                   warn Report.Race_write ls'));
+                   if ls' != ls then set_st t ctx c ~tid ~access ~prev ~loc (Shared_mod ls');
+                   warn t ctx c ~tid ~addr ~loc ~prev Report.Race_write ls'));
         c.f_any <- any_set;
         c.f_write <- write_set;
         c.f_wrote <- access = Write
@@ -612,7 +618,7 @@ let on_event t (ctx : Vm.Tool.ctx) (e : Vm.Event.t) =
               | prev ->
                   record_transition t ctx c ~tid ~access:"destruct" ~from_st:prev
                     ~to_st:(Exclusive { o_tid = tid; o_seg = seg })
-                    ~loc:(Some loc));
+                    ~loc);
               c.st <- Exclusive { o_tid = tid; o_seg = seg };
               c.f_any <- Lockset.top;
               c.f_wrote <- false

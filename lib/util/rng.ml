@@ -6,18 +6,27 @@
     We do not use [Stdlib.Random] because its state is global and its
     algorithm differs across OCaml releases. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a mutable [int64] field
+   would box a fresh [Int64] on every step, and the scheduler draws one
+   number per nontrivial decision. *)
+type t = Bytes.t
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state s =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_ne b 0 s;
+  b
 
-let copy t = { state = t.state }
+let create ~seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* splitmix64 step: a single 64-bit multiply-xorshift mix with a Weyl
-   increment.  Passes BigCrush; more than adequate for scheduling. *)
-let next_int64 t =
+   increment.  Passes BigCrush; more than adequate for scheduling.
+   Inlined so callers consume the result unboxed. *)
+let[@inline] next_int64 t =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+  let z = add (Bytes.get_int64_ne t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_ne t 0 z;
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
@@ -58,4 +67,4 @@ let shuffle_in_place t arr =
 let split t =
   (* Derive an independent stream: mix the parent's next output into a
      fresh state.  Streams from distinct draws never collide in practice. *)
-  { state = Int64.logxor (next_int64 t) 0xD1B54A32D192ED03L }
+  of_state (Int64.logxor (next_int64 t) 0xD1B54A32D192ED03L)

@@ -44,8 +44,9 @@ type policy =
           models a coarse-grained interleaving with few switches *)
   | Scripted of int array
       (** replay a decision script: the k-th scheduling decision picks
-          ready thread [script.(k) mod n]; past the end of the script
-          decisions default to 0 (FIFO).  The backbone of systematic
+          ready thread [script.(k) mod n], reduced into [\[0, n)] for
+          negative entries too; past the end of the script decisions
+          default to 0 (FIFO).  The backbone of systematic
           schedule exploration ({!Explore}). *)
 
 let pp_policy ppf = function
@@ -87,6 +88,7 @@ let default_config =
 (* ------------------------------------------------------------------ *)
 
 type wake =
+  | No_wake  (** no pending resumption: the thread is fresh, running or done *)
   | Wake : ('a, unit) Effect.Deep.continuation * (unit -> 'a) -> wake
   | Wake_v : ('a, unit) Effect.Deep.continuation * 'a -> wake
       (** plain-value resume: the common case, no thunk allocation *)
@@ -111,7 +113,7 @@ type thread = {
   name : string;
   parent : int option;
   mutable status : status;
-  mutable wake : wake option;
+  mutable wake : wake;
   mutable frames : Loc.t list;
   mutable failure : exn option;
   mutable join_waiters : int list;
@@ -181,6 +183,16 @@ exception Misuse of string
 (** raised inside a simulated thread on API misuse (unlocking a mutex
     one does not hold, double free, ...) *)
 
+exception Tool_failure of string * exn
+(** a tool's [on_event] raised: (tool name, its exception).  Ends the
+    run instead of reaching the simulated thread. *)
+
+let () =
+  Printexc.register_printer (function
+    | Tool_failure (name, e) ->
+        Some (Printf.sprintf "Tool_failure(%S, %s)" name (Printexc.to_string e))
+    | _ -> None)
+
 (* ------------------------------------------------------------------ *)
 (* The VM                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -201,6 +213,9 @@ type t = {
   mutable ops : int;
   mutable switches : int;
   mutable tools : Tool.t list;
+  mutable observed : bool;
+      (** some consumer sees events (a tool, [trace_events] or a
+          tracer); when false, plain accesses only count theirs *)
   mutable trace : Event.t Growvec.t;
   mutable benign_ranges : (int * int) list;
   mutable decisions : (int * int) list;
@@ -224,7 +239,7 @@ let dummy_thread =
     name = "<dummy>";
     parent = None;
     status = Done;
-    wake = None;
+    wake = No_wake;
     frames = [];
     failure = None;
     join_waiters = [];
@@ -252,6 +267,7 @@ let create ?(config = default_config) () =
     ops = 0;
     switches = 0;
     tools = [];
+    observed = config.trace_events || config.tracer <> None;
     trace = Growvec.create ~dummy:(Event.E_thread_exit { tid = -1 });
     benign_ranges = [];
     decisions = [];
@@ -259,7 +275,9 @@ let create ?(config = default_config) () =
     delayed_fresh = [];
   }
 
-let add_tool t tool = t.tools <- t.tools @ [ tool ]
+let add_tool t tool =
+  t.tools <- t.tools @ [ tool ];
+  t.observed <- true
 
 (** Chronological log of nontrivial scheduling decisions as
     (chosen index, arity) pairs; meaningful after {!run}. *)
@@ -283,6 +301,15 @@ let tool_ctx t : Tool.ctx =
       t.cached_ctx <- Some ctx;
       ctx
 
+let rec dispatch ctx event = function
+  | [] -> ()
+  | (tool : Tool.t) :: rest -> (
+      match tool.on_event ctx event with
+      | () -> dispatch ctx event rest
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Printexc.raise_with_backtrace (Tool_failure (tool.name, e)) bt)
+
 let emit t event =
   Metrics.incr m_events;
   if t.config.trace_events then ignore (Growvec.push t.trace event);
@@ -290,8 +317,7 @@ let emit t event =
   | None -> ()
   | Some tr ->
       Trace.emit tr ~ts:t.clock ~tid:(Event.tid event) ~name:(Event.kind_name event) ~cat:"vm" ());
-  let ctx = tool_ctx t in
-  List.iter (fun (tool : Tool.t) -> tool.on_event ctx event) t.tools
+  match t.tools with [] -> () | tools -> dispatch (tool_ctx t) event tools
 
 (* --- ready queue ------------------------------------------------- *)
 
@@ -319,9 +345,10 @@ let take_ready_at t idx =
   t.ready_len <- t.ready_len - 1;
   x
 
+(* The next thread to run, or -1 when none is ready. *)
 let pick_ready t =
   let n = t.ready_len in
-  if n = 0 then None
+  if n = 0 then -1
   else begin
     let choice =
       match t.config.policy with
@@ -333,7 +360,10 @@ let pick_ready t =
           find 0
       | Scripted script ->
           let k = t.decision_count in
-          if k < Array.length script then script.(k) mod n else 0
+          if k < Array.length script then
+            let r = script.(k) mod n in
+            if r < 0 then r + n else r
+          else 0
     in
     if n > 1 then begin
       t.decision_count <- t.decision_count + 1;
@@ -341,16 +371,16 @@ let pick_ready t =
       | Scripted _ -> t.decisions <- (choice, n) :: t.decisions
       | Round_robin | Random_seeded | Sticky -> ()
     end;
-    Some (take_ready_at t choice)
+    take_ready_at t choice
   end
 
 (* --- waking helpers ---------------------------------------------- *)
 
 let resume_with (th : thread) (v : unit -> 'a) (k : ('a, unit) Effect.Deep.continuation) =
-  th.wake <- Some (Wake (k, v))
+  th.wake <- Wake (k, v)
 
 let resume_value (th : thread) (v : 'a) (k : ('a, unit) Effect.Deep.continuation) =
-  th.wake <- Some (Wake_v (k, v))
+  th.wake <- Wake_v (k, v)
 
 (* Grant a mutex to a waiting thread and make it runnable.  The
    acquire event is emitted at grant time: that is the moment the
@@ -480,33 +510,37 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
   th.ops <- th.ops + 1;
   t.clock <- t.clock + 1;
   if t.ops > t.config.max_ops then raise Too_many_ops;
-  let ret (v : a) = reschedule_self t th v k in
   match op with
   | Read { addr; loc } ->
       let value = Memory.get t.memory addr in
-      emit t (Event.E_read { tid = th.tid; addr; value; atomic = false; loc });
-      ret value
+      if t.observed then emit t (Event.E_read { tid = th.tid; addr; value; atomic = false; loc })
+      else Metrics.incr m_events;
+      reschedule_self t th value k
   | Write { addr; value; loc } ->
       Memory.set t.memory addr value;
-      emit t (Event.E_write { tid = th.tid; addr; value; atomic = false; loc });
-      ret ()
+      if t.observed then emit t (Event.E_write { tid = th.tid; addr; value; atomic = false; loc })
+      else Metrics.incr m_events;
+      reschedule_self t th () k
   | Atomic_rmw { addr; f; loc } ->
       (* one LOCK-prefixed instruction: an atomic load followed by an
          atomic store, indivisible (no scheduling point in between) *)
       let old = Memory.get t.memory addr in
       let value = f old in
       Memory.set t.memory addr value;
-      emit t (Event.E_read { tid = th.tid; addr; value = old; atomic = true; loc });
-      emit t (Event.E_write { tid = th.tid; addr; value; atomic = true; loc });
-      ret old
+      if t.observed then begin
+        emit t (Event.E_read { tid = th.tid; addr; value = old; atomic = true; loc });
+        emit t (Event.E_write { tid = th.tid; addr; value; atomic = true; loc })
+      end
+      else Metrics.add m_events 2;
+      reschedule_self t th old k
   | Alloc { len; loc } ->
       let addr = Memory.alloc t.memory ~tid:th.tid ~loc ~stack:th.frames ~len in
       emit t (Event.E_alloc { tid = th.tid; addr; len; loc });
-      ret addr
+      reschedule_self t th addr k
   | Free { addr; loc } ->
       let len = Memory.free t.memory ~addr in
       emit t (Event.E_free { tid = th.tid; addr; len; loc });
-      ret ()
+      reschedule_self t th () k
   | Spawn { name; body; loc } ->
       let child =
         {
@@ -514,7 +548,7 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
           name;
           parent = Some th.tid;
           status = Fresh body;
-          wake = None;
+          wake = No_wake;
           frames = [ loc ];
           failure = None;
           join_waiters = [];
@@ -529,14 +563,14 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
       in
       if spawn_delay = 0 then enqueue_ready t child.tid
       else t.delayed_fresh <- (child.tid, t.clock + spawn_delay) :: t.delayed_fresh;
-      ret child.tid
+      reschedule_self t th child.tid k
   | Join { tid; loc } ->
       if tid < 0 || tid >= Growvec.length t.threads then
         raise (Misuse (Fmt.str "join of unknown thread %d" tid));
       let target = thread t tid in
       if target.status = Done then begin
         emit t (Event.E_join { joiner = th.tid; joined = tid; loc });
-        ret ()
+        reschedule_self t th () k
       end
       else begin
         target.join_waiters <- (th.tid :: target.join_waiters);
@@ -547,7 +581,7 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
       let m = { m_id = Growvec.length t.mutexes; m_name = name; m_owner = None; m_waiters = Queue.create () } in
       ignore (Growvec.push t.mutexes m);
       emit t (Event.E_sync_create { tid = th.tid; sync = Event.Mutex m.m_id; name; loc });
-      ret m.m_id
+      reschedule_self t th m.m_id k
   | Mutex_lock { m; loc } -> (
       let mu = Growvec.get t.mutexes m in
       match mu.m_owner with
@@ -557,7 +591,7 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
           let lock_delay =
             match t.config.faults with Some inj -> Injector.lock_delay inj | None -> 0
           in
-          if lock_delay = 0 then ret ()
+          if lock_delay = 0 then reschedule_self t th () k
           else begin
             (* slow-acquire fault: the lock is held from this moment
                (contention builds behind it) but the owner stalls
@@ -577,19 +611,19 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
       | None ->
           mu.m_owner <- Some th.tid;
           emit t (Event.E_acquire { tid = th.tid; lock = Event.Mutex m; mode = Write_mode; loc });
-          ret true
-      | Some _ -> ret false)
+          reschedule_self t th true k
+      | Some _ -> reschedule_self t th false k)
   | Mutex_unlock { m; loc } ->
       let mu = Growvec.get t.mutexes m in
       do_mutex_unlock t th mu ~loc;
-      ret ()
+      reschedule_self t th () k
   | Rwlock_create { name; loc } ->
       let rw =
         { rw_id = Growvec.length t.rwlocks; rw_name = name; rw_writer = None; rw_readers = []; rw_waiters = Queue.create () }
       in
       ignore (Growvec.push t.rwlocks rw);
       emit t (Event.E_sync_create { tid = th.tid; sync = Event.Rwlock rw.rw_id; name; loc });
-      ret rw.rw_id
+      reschedule_self t th rw.rw_id k
   | Rwlock_lock { rw; mode; loc } -> (
       let r = Growvec.get t.rwlocks rw in
       match mode with
@@ -597,7 +631,7 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
           if r.rw_writer = None && Queue.is_empty r.rw_waiters then begin
             r.rw_readers <- th.tid :: r.rw_readers;
             emit t (Event.E_acquire { tid = th.tid; lock = Event.Rwlock rw; mode; loc });
-            ret ()
+            reschedule_self t th () k
           end
           else begin
             Queue.push (th.tid, mode) r.rw_waiters;
@@ -608,7 +642,7 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
           if r.rw_writer = None && r.rw_readers = [] && Queue.is_empty r.rw_waiters then begin
             r.rw_writer <- Some th.tid;
             emit t (Event.E_acquire { tid = th.tid; lock = Event.Rwlock rw; mode; loc });
-            ret ()
+            reschedule_self t th () k
           end
           else begin
             Queue.push (th.tid, mode) r.rw_waiters;
@@ -623,12 +657,12 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
        else raise (Misuse (Fmt.str "thread %d unlocks rwlock %S it does not hold" th.tid r.rw_name)));
       emit t (Event.E_release { tid = th.tid; lock = Event.Rwlock rw; loc });
       rwlock_grant_waiters t r ~loc;
-      ret ()
+      reschedule_self t th () k
   | Cond_create { name; loc } ->
       let cv = { cv_id = Growvec.length t.conds; cv_name = name; cv_waiters = Queue.create () } in
       ignore (Growvec.push t.conds cv);
       emit t (Event.E_sync_create { tid = th.tid; sync = Event.Cond cv.cv_id; name; loc });
-      ret cv.cv_id
+      reschedule_self t th cv.cv_id k
   | Cond_wait { cv; m; loc } ->
       let c = Growvec.get t.conds cv in
       let mu = Growvec.get t.mutexes m in
@@ -644,7 +678,7 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
          let w, m = Queue.pop c.cv_waiters in
          wake_cond_waiter t w m ~cv ~loc
        end);
-      ret ()
+      reschedule_self t th () k
   | Cond_broadcast { cv; loc } ->
       let c = Growvec.get t.conds cv in
       emit t (Event.E_cond_signal { tid = th.tid; cv; broadcast = true; loc });
@@ -652,18 +686,18 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
         let w, m = Queue.pop c.cv_waiters in
         wake_cond_waiter t w m ~cv ~loc
       done;
-      ret ()
+      reschedule_self t th () k
   | Sem_create { name; init; loc } ->
       let s = { sem_id = Growvec.length t.sems; sem_name = name; sem_count = init; sem_waiters = Queue.create () } in
       ignore (Growvec.push t.sems s);
       emit t (Event.E_sync_create { tid = th.tid; sync = Event.Sem s.sem_id; name; loc });
-      ret s.sem_id
+      reschedule_self t th s.sem_id k
   | Sem_wait { s; loc } ->
       let sem = Growvec.get t.sems s in
       if sem.sem_count > 0 then begin
         sem.sem_count <- sem.sem_count - 1;
         emit t (Event.E_sem_wait_post { tid = th.tid; sem = s; loc });
-        ret ()
+        reschedule_self t th () k
       end
       else begin
         Queue.push th.tid sem.sem_waiters;
@@ -679,27 +713,27 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
          emit t (Event.E_sem_wait_post { tid = w; sem = s; loc });
          enqueue_ready t w
        end);
-      ret ()
+      reschedule_self t th () k
   | Client req ->
       let loc = match th.frames with [] -> Loc.unknown | l :: _ -> l in
       (match req with
       | Benign_race { addr; len } -> t.benign_ranges <- (addr, len) :: t.benign_ranges
       | Destruct _ | Happens_before _ | Happens_after _ -> ());
       emit t (Event.E_client { tid = th.tid; req; loc });
-      ret ()
-  | Yield -> ret ()
+      reschedule_self t th () k
+  | Yield -> reschedule_self t th () k
   | Sleep n ->
       th.status <- Blocked (On_sleep (t.clock + max 1 n));
       resume_with th (fun () -> ()) k
-  | Now -> ret t.clock
-  | Self -> ret th.tid
+  | Now -> reschedule_self t th t.clock k
+  | Self -> reschedule_self t th th.tid k
   | Push_frame loc ->
       th.frames <- loc :: th.frames;
-      ret ()
+      reschedule_self t th () k
   | Pop_frame ->
       (match th.frames with [] -> () | _ :: rest -> th.frames <- rest);
-      ret ()
-  | Random_int bound -> ret (Rng.int t.rng bound)
+      reschedule_self t th () k
+  | Random_int bound -> reschedule_self t th (Rng.int t.rng bound) k
 
 and wake_cond_waiter t w m ~cv ~loc =
   (* a signalled waiter must reacquire its mutex before returning *)
@@ -716,23 +750,21 @@ and wake_cond_waiter t w m ~cv ~loc =
          still be emitted — we wrap the thread's wake closure. *)
       wth.status <- Blocked (On_mutex m);
       (match wth.wake with
-      | Some (Wake (k, v)) ->
+      | Wake (k, v) ->
           wth.wake <-
-            Some
-              (Wake
-                 ( k,
-                   fun () ->
-                     emit t (Event.E_cond_wait_post { tid = w; cv; m; loc });
-                     v () ))
-      | Some (Wake_v (k, v)) ->
+            Wake
+              ( k,
+                fun () ->
+                  emit t (Event.E_cond_wait_post { tid = w; cv; m; loc });
+                  v () )
+      | Wake_v (k, v) ->
           wth.wake <-
-            Some
-              (Wake
-                 ( k,
-                   fun () ->
-                     emit t (Event.E_cond_wait_post { tid = w; cv; m; loc });
-                     v ))
-      | None -> ());
+            Wake
+              ( k,
+                fun () ->
+                  emit t (Event.E_cond_wait_post { tid = w; cv; m; loc });
+                  v )
+      | No_wake -> ());
       Queue.push w mu.m_waiters)
 
 (* ------------------------------------------------------------------ *)
@@ -784,13 +816,13 @@ let run_thread t th =
   | Ready -> (
       th.status <- Running;
       match th.wake with
-      | Some (Wake (k, v)) ->
-          th.wake <- None;
+      | Wake (k, v) ->
+          th.wake <- No_wake;
           Effect.Deep.continue k (v ())
-      | Some (Wake_v (k, v)) ->
-          th.wake <- None;
+      | Wake_v (k, v) ->
+          th.wake <- No_wake;
           Effect.Deep.continue k v
-      | None -> invalid_arg "run_thread: ready thread without wake")
+      | No_wake -> invalid_arg "run_thread: ready thread without wake")
   | Running | Blocked _ | Done -> invalid_arg "run_thread: thread not runnable"
 
 let wake_due_sleepers t =
@@ -841,7 +873,7 @@ let run t main =
       name = "main";
       parent = None;
       status = Fresh main;
-      wake = None;
+      wake = No_wake;
       frames = [ Loc.v "<vm>" "main" 0 ];
       failure = None;
       join_waiters = [];
@@ -856,8 +888,7 @@ let run t main =
      let continue_loop = ref true in
      while !continue_loop do
        match pick_ready t with
-       | Some tid -> run_thread t (thread t tid)
-       | None -> (
+       | -1 -> (
            ignore (wake_due_sleepers t);
            if ready_count t > 0 then ()
            else
@@ -871,6 +902,7 @@ let run t main =
                      deadlock := Some d;
                      continue_loop := false
                  | None -> continue_loop := false))
+       | tid -> run_thread t (thread t tid)
      done
    with Too_many_ops ->
      deadlock :=

@@ -16,8 +16,9 @@ type policy =
           models a coarse-grained interleaving with few switches *)
   | Scripted of int array
       (** replay a decision script: the k-th nontrivial scheduling
-          decision picks ready thread [script.(k) mod n]; past the end
-          of the script decisions default to 0 (FIFO).  The backbone of
+          decision picks ready thread [script.(k) mod n], reduced
+          into [\[0, n)] for negative entries too; past the end of the
+          script decisions default to 0 (FIFO).  The backbone of
           systematic schedule exploration ({!Explore}). *)
 
 val pp_policy : Format.formatter -> policy -> unit
@@ -76,6 +77,12 @@ exception Misuse of string
 (** Raised {e inside} a simulated thread on API misuse; shows up in
     [failures] unless the program catches it. *)
 
+exception Tool_failure of string * exn
+(** [Tool_failure (tool_name, e)]: a tool's [on_event] raised [e].  It
+    ends {!run} (which raises it) and never reaches the simulated
+    thread, whose own misuse checks are the only exceptions delivered
+    at its perform point. *)
+
 (** {1 The VM} *)
 
 type t
@@ -84,12 +91,16 @@ val create : ?config:config -> unit -> t
 
 val add_tool : t -> Tool.t -> unit
 (** Attach a tool; it sees every event from then on.  Any number of
-    tools can watch the same run. *)
+    tools can watch the same run.  A VM with no tool, no
+    [trace_events] and no tracer builds no read/write event records;
+    it only counts them in [vm.events_emitted]. *)
 
 val run : t -> (unit -> unit) -> outcome
 (** Execute [main] as thread 0 until every thread finishes, a deadlock
     is detected, or the op budget runs out.  A VM is single-use: create
-    a fresh one per run. *)
+    a fresh one per run.
+
+    @raise Tool_failure when an attached tool's [on_event] raises. *)
 
 val memory : t -> Memory.t
 

@@ -51,6 +51,73 @@ let test_rng_split_independent () =
   let b = List.init 8 (fun _ -> Rng.next s) in
   Alcotest.(check bool) "split streams differ" true (a <> b)
 
+(* The boxed-[int64] splitmix64 that [Rng] used before its state moved
+   into bytes: the oracle every stream must still match exactly, since
+   recorded schedules and pinned digests depend on it. *)
+module Boxed_rng = struct
+  type t = { mutable state : int64 }
+
+  let create ~seed = { state = Int64.of_int seed }
+  let copy t = { state = t.state }
+
+  let next_int64 t =
+    let open Int64 in
+    t.state <- add t.state 0x9E3779B97F4A7C15L;
+    let z = t.state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let next t = Int64.to_int (next_int64 t) land max_int
+  let int t bound = next t mod bound
+  let bool t = Int64.logand (next_int64 t) 1L = 1L
+  let split t = { state = Int64.logxor (next_int64 t) 0xD1B54A32D192ED03L }
+end
+
+type rng_op = Next | Int of int | Bool | Split | Copy
+
+let rng_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, pure Next);
+        (4, map (fun b -> Int b) (oneof [ int_range 1 1000; int_range 1 max_int ]));
+        (2, pure Bool);
+        (1, pure Split);
+        (1, pure Copy);
+      ])
+
+let seed_gen = QCheck2.Gen.(frequency [ (1, oneofl [ 0; -1; min_int; max_int ]); (3, int) ])
+
+(* Run [ops] on a growing pool of (Rng, oracle) pairs: [Split] and
+   [Copy] add the derived pair, and op [i] acts on pair [i mod size],
+   so parents, children and copies are all exercised after deriving. *)
+let qc_rng_oracle =
+  QCheck2.Test.make ~name:"rng streams equal the boxed splitmix64 oracle" ~count:300
+    QCheck2.Gen.(pair seed_gen (list_size (int_range 1 200) rng_op_gen))
+    (fun (seed, ops) ->
+      let pool = Growvec.create ~dummy:(Rng.create ~seed:0, Boxed_rng.create ~seed:0) in
+      ignore (Growvec.push pool (Rng.create ~seed, Boxed_rng.create ~seed));
+      List.iteri
+        (fun i op ->
+          let r, o = Growvec.get pool (i mod Growvec.length pool) in
+          match op with
+          | Next -> if Rng.next r <> Boxed_rng.next o then QCheck2.Test.fail_reportf "next, op %d" i
+          | Int b ->
+              if Rng.int r b <> Boxed_rng.int o b then QCheck2.Test.fail_reportf "int %d, op %d" b i
+          | Bool -> if Rng.bool r <> Boxed_rng.bool o then QCheck2.Test.fail_reportf "bool, op %d" i
+          | Split -> ignore (Growvec.push pool (Rng.split r, Boxed_rng.split o))
+          | Copy -> ignore (Growvec.push pool (Rng.copy r, Boxed_rng.copy o)))
+        ops;
+      (* every stream, derived or not, still agrees past the script *)
+      Growvec.iter
+        (fun (r, o) ->
+          for _ = 1 to 4 do
+            if Rng.next r <> Boxed_rng.next o then QCheck2.Test.fail_report "tail of a stream"
+          done)
+        pool;
+      true)
+
 let test_iss_basics () =
   let s = Iss.of_list [ 3; 1; 2; 3; 1 ] in
   Alcotest.(check int) "dedup" 3 (Iss.cardinal s);
@@ -151,6 +218,7 @@ let suite =
       Alcotest.test_case "rng non-negative" `Quick test_rng_nonnegative;
       Alcotest.test_case "rng shuffle is a permutation" `Quick test_rng_shuffle_permutation;
       Alcotest.test_case "rng split independent" `Quick test_rng_split_independent;
+      QCheck_alcotest.to_alcotest qc_rng_oracle;
       Alcotest.test_case "sorted set basics" `Quick test_iss_basics;
       Alcotest.test_case "sorted set inter/union" `Quick test_iss_inter;
       QCheck_alcotest.to_alcotest qc_iss_model;

@@ -664,6 +664,117 @@ let test_memory_stats () =
   Alcotest.(check int) "allocs counted" 2 outcome.stats.memory_allocs;
   Alcotest.(check int) "live words" 5 outcome.stats.memory_live_words
 
+(* --- allocation budget ------------------------------------------------ *)
+
+(* Minor words per operation of [body n] on a fresh VM, with the fixed
+   cost of a run (VM, main thread, tables) cancelled by differencing two
+   run lengths. *)
+let words_per_op ?(tools = []) ~n body =
+  let words n =
+    let vm = Engine.create () in
+    List.iter (Engine.add_tool vm) tools;
+    let w0 = Gc.minor_words () in
+    let outcome = Engine.run vm (fun () -> body n) in
+    let w = Gc.minor_words () -. w0 in
+    check_clean outcome;
+    w
+  in
+  ignore (words n);
+  (words (2 * n) -. words n) /. float_of_int n
+
+let yield_loop n =
+  for _ = 1 to n do
+    Api.yield ()
+  done
+
+(* one write then one read of the same word per two operations *)
+let write_read_loop n =
+  let a = Api.alloc ~loc 1 in
+  for i = 1 to n / 2 do
+    Api.write ~loc a i;
+    ignore (Api.read ~loc a)
+  done
+
+(* Per-op budgets, measured with OCaml 5.1 native code: 16 words for a
+   [Yield] (the effect round trip alone: the [Do] wrapper, the
+   continuation, the handler's per-effect closure and its [Some], the
+   [Wake_v] slot) and 19.5 for a write+read pair's average.  Each bound
+   sits less than one [Some] (2 words) above its value, so a per-op
+   option or closure that creeps back into the engine fails here. *)
+let yield_budget = 17.5
+let write_read_budget = 21.0
+
+let test_alloc_budget () =
+  if Sys.backend_type = Sys.Native then begin
+    let y = words_per_op ~n:20_000 yield_loop in
+    let rw = words_per_op ~n:20_000 write_read_loop in
+    if y > yield_budget then
+      Alcotest.failf "Yield allocates %.2f words/op (budget %.1f)" y yield_budget;
+    if rw > write_read_budget then
+      Alcotest.failf "write+read allocates %.2f words/op (budget %.1f)" rw write_read_budget;
+    (* an attached tool sees real records: with it the same loop pays
+       at least one access event record per access *)
+    let record =
+      Obj.size (Obj.repr (Event.E_read { tid = 0; addr = 0; value = 0; atomic = false; loc })) + 1
+    in
+    let rw_tool = words_per_op ~tools:[ Vm.Tool.of_fn "noop" ignore ] ~n:20_000 write_read_loop in
+    if rw_tool -. rw < float_of_int record then
+      Alcotest.failf "a no-op tool adds %.2f words/access, less than a %d-word event record"
+        (rw_tool -. rw) record
+  end
+
+(* A tool's exception is the tool's bug, not the simulated program's: it
+   must end the run naming the tool, never surface at the thread's
+   perform point where the program could catch it and carry on.  The
+   VM's own misuse checks still reach the thread with a tool attached. *)
+let test_tool_exception_ends_run () =
+  let misuse_caught = ref false in
+  let outcome, _ =
+    run ~tool:(Vm.Tool.of_fn "noop" ignore) (fun () ->
+        let m = Api.Mutex.create ~loc "m" in
+        try Api.Mutex.unlock ~loc m with Engine.Misuse _ -> misuse_caught := true)
+  in
+  check_clean outcome;
+  Alcotest.(check bool) "the thread caught its own misuse" true !misuse_caught;
+  let caught = ref false in
+  let tool =
+    Vm.Tool.of_fn "boom" (function Event.E_read _ -> invalid_arg "boom" | _ -> ())
+  in
+  let vm = Engine.create () in
+  Engine.add_tool vm tool;
+  match
+    Engine.run vm (fun () ->
+        let a = Api.alloc ~loc 1 in
+        (try ignore (Api.read ~loc a) with Invalid_argument _ -> caught := true);
+        Api.write ~loc a 1)
+  with
+  | (_ : Engine.outcome) -> Alcotest.fail "run returned although a tool raised"
+  | exception Engine.Tool_failure (name, e) ->
+      Alcotest.(check string) "names the tool" "boom" name;
+      Alcotest.(check bool) "carries the tool's exception" true (e = Invalid_argument "boom");
+      Alcotest.(check bool) "the thread never saw it" false !caught
+
+(* Negative script entries pick [entry mod n] reduced into [0, n). *)
+let test_scripted_negative_entries () =
+  let script = [| -1; -5; min_int; -2; 7; -3; -1; -4 |] in
+  let vm = Engine.create ~config:{ Engine.default_config with policy = Engine.Scripted script } () in
+  let outcome =
+    Engine.run vm (fun () ->
+        let worker () = for _ = 1 to 3 do Api.yield () done in
+        let ts = List.init 3 (fun i -> Api.spawn ~loc ~name:(Printf.sprintf "w%d" i) worker) in
+        List.iter (Api.join ~loc) ts)
+  in
+  check_clean outcome;
+  let log = Engine.decision_log vm in
+  Alcotest.(check bool) "the script was consulted" true (List.length log >= Array.length script);
+  List.iteri
+    (fun k (choice, arity) ->
+      let want =
+        if k < Array.length script then ((script.(k) mod arity) + arity) mod arity else 0
+      in
+      Alcotest.(check int) (Printf.sprintf "decision %d of arity %d" k arity) want choice)
+    log
+
 let suite =
   ( "vm",
     [
@@ -697,4 +808,7 @@ let suite =
       Alcotest.test_case "block metadata" `Quick test_block_metadata;
       Alcotest.test_case "call stacks" `Quick test_frames_stack;
       Alcotest.test_case "memory stats" `Quick test_memory_stats;
+      Alcotest.test_case "allocation budget per op" `Quick test_alloc_budget;
+      Alcotest.test_case "tool exception ends the run" `Quick test_tool_exception_ends_run;
+      Alcotest.test_case "scripted negative entries" `Quick test_scripted_negative_entries;
     ] )
