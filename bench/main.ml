@@ -1,17 +1,13 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (the same rows/series the paper reports), times the
-   detector configurations with Bechamel, and measures detector
-   throughput (events/sec) as machine-readable JSON for CI.
+(* Benchmark harness: measures detector throughput (events/sec) per
+   (workload, configuration) with Bechamel and writes it as
+   machine-readable JSON for CI.  The paper's tables and figures are
+   regenerated by [raceguard-experiments run all].
 
-     dune exec bench/main.exe                  # tables + timings
-     dune exec bench/main.exe -- tables        # only the tables/figures
-     dune exec bench/main.exe -- timings       # only the Bechamel timings
-     dune exec bench/main.exe -- --json        # throughput suite -> BENCH_detector.json
-     dune exec bench/main.exe -- --json --quick
-     dune exec bench/main.exe -- --json --compare bench/baseline.json
+     dune exec bench/main.exe                  # full suite -> BENCH_detector.json
+     dune exec bench/main.exe -- --quick
+     dune exec bench/main.exe -- --quick --compare bench/baseline.json
 
-   Throughput flags:
-     --json               run the throughput suite and write JSON
+   Flags (anything else is a usage error, exit 2):
      --quick              CI smoke subset (fewer workloads, shorter quota)
      --seed N             VM scheduling seed (default 7; echoed into the JSON)
      --domains N          worker domains for the audit pass and the
@@ -26,14 +22,7 @@
                           regression, and on a baseline that does not
                           parse, has no rows (checked before the suite
                           runs) or shares no detector row with the run
-     --max-regression PCT regression threshold in percent (default 25)
-
-   Table/figure index (see DESIGN.md §4):
-     Figure 6  -> "fig6"      Figure 5    -> "fig5"
-     Figure 4  -> "fig4"      Figures 8/9 -> "fig8"
-     Figures 10/11 -> "pools" §4.3 -> "fneg"   §4.1 -> "bugs"
-     §4 alloc  -> "alloc"     §4.5 -> "perf"   §3.3 -> "deadlock"
-     ablations -> "segments", "states", "baselines" *)
+     --max-regression PCT regression threshold in percent (default 25) *)
 
 open Bechamel
 open Toolkit
@@ -63,102 +52,10 @@ let verdict sink =
   (List.length locations, Det.Offline.digest_signatures locations)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel test subjects: one per table/figure workload               *)
-(* ------------------------------------------------------------------ *)
-
-let run_t2 ?(subject = "no-tool") helgrind_configs () =
-  let cfg = { R.Runner.default with seed; helgrind_configs } in
-  ignore (R.Runner.run_test_case ~tools:(tools_of (subject_sink subject)) cfg Sip.Workload.t2)
-
-let run_scenario helgrind_configs scenario () =
-  let cfg = { R.Runner.default with seed; helgrind_configs } in
-  ignore (R.Runner.run_main cfg scenario)
-
-let offline_replay () =
-  (* record once per run, replay through the detector post mortem *)
-  let r = R.Trace_ops.record_test ~seed Sip.Workload.t3 in
-  let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
-  Det.Offline.replay r.R.Trace_ops.rec_recorder (Det.Helgrind.tool h)
-
-let minicc_pipeline () =
-  let module M = Raceguard_minicc in
-  let interp, _pretty, _n =
-    M.Interp.compile ~annotate:true ~file:"g.mcc" R.Experiments.figure4_source
-  in
-  run_scenario [ ("HWLC+DR", Det.Helgrind.hwlc_dr) ] (fun () -> M.Interp.run_main interp) ()
-
-let cfgs name c = [ (name, c) ]
-
-let tests =
-  [
-    (* Figure 6 / §4.5 series: T2 under each configuration *)
-    Test.make ~name:"fig6/T2-no-tool" (Staged.stage (run_t2 []));
-    Test.make ~name:"fig6/T2-Original"
-      (Staged.stage (run_t2 (cfgs "Original" Det.Helgrind.original)));
-    Test.make ~name:"fig6/T2-HWLC"
-      (Staged.stage (run_t2 (cfgs "HWLC" Det.Helgrind.hwlc)));
-    Test.make ~name:"fig6/T2-HWLC+DR"
-      (Staged.stage (run_t2 (cfgs "HWLC+DR" Det.Helgrind.hwlc_dr)));
-    (* baselines: DJIT on the same workload *)
-    Test.make ~name:"baselines/T2-DJIT" (Staged.stage (run_t2 ~subject:"djit" []));
-    (* ablation: pure Eraser (no state machine) *)
-    Test.make ~name:"states/T2-pure-eraser"
-      (Staged.stage (run_t2 (cfgs "pure" Det.Helgrind.pure_eraser)));
-    (* Figures 8/9: the string test *)
-    Test.make ~name:"fig8/stringtest-original"
-      (Staged.stage
-         (run_scenario (cfgs "Original" Det.Helgrind.original) R.Scenarios.stringtest));
-    Test.make ~name:"fig8/stringtest-hwlc"
-      (Staged.stage (run_scenario (cfgs "HWLC" Det.Helgrind.hwlc) R.Scenarios.stringtest));
-    (* Figures 10/11: handoff patterns *)
-    Test.make ~name:"pools/handoff-per-request"
-      (Staged.stage
-         (run_scenario (cfgs "HWLC+DR" Det.Helgrind.hwlc_dr) R.Scenarios.handoff_per_request));
-    Test.make ~name:"pools/handoff-queue"
-      (Staged.stage
-         (run_scenario (cfgs "HWLC+DR" Det.Helgrind.hwlc_dr) R.Scenarios.handoff_pool));
-    (* §4.5 offline mode: record + post-mortem replay *)
-    Test.make ~name:"perf/offline-record-replay-T3" (Staged.stage offline_replay);
-    (* Figure 4: the full MiniC++ instrumentation pipeline *)
-    Test.make ~name:"fig4/minicc-pipeline" (Staged.stage minicc_pipeline);
-  ]
-
-let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-
-let run_timings () =
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) () in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"raceguard" tests) in
-  let analyzed = Analyze.all ols Instance.monotonic_clock raw in
-  print_endline "Bechamel timings (monotonic clock, OLS estimate per run):";
-  print_endline "";
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (est :: _) -> est
-        | Some [] | None -> nan
-      in
-      rows := (name, ns) :: !rows)
-    analyzed;
-  let rows = List.sort compare !rows in
-  let width = List.fold_left (fun w (n, _) -> max w (String.length n)) 0 rows in
-  List.iter
-    (fun (name, ns) -> Printf.printf "  %-*s  %12.3f ms/run\n" width name (ns /. 1e6))
-    rows
-
-let run_tables () =
-  List.iter
-    (fun (id, descr, f) ->
-      Printf.printf "==== %s — %s ====\n%!" id descr;
-      print_endline (f ());
-      print_newline ())
-    R.Experiments.all
-
-(* ------------------------------------------------------------------ *)
 (* Throughput suite: events/sec per detector config × workload, JSON   *)
 (* ------------------------------------------------------------------ *)
+
+let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
 
 type workload = {
   w_name : string;
@@ -645,21 +542,12 @@ let faults_rows ~quick ~seed =
 
 (* --- record/replay trace suite -------------------------------------- *)
 
-(* Record mode is write-behind: the VM is deterministic in (workload,
-   seed), so the monitored run logs only those inputs and the binary
-   trace is materialized by a capture re-execution at save time — no
-   per-event observer can stay inside a 10% budget against a VM that
-   retires ~5M events/sec, and determinism means none is needed.  Four
-   rows: the detection-off baseline, the record-mode monitored run
-   (gated >= 0.90 normalized — the paper's "don't perturb the server"
-   budget), the capture+encode pass (the real trace-production cost,
-   reported rather than hidden), and the §4.5 payoff: events/sec when
+(* Three rows: the detection-off baseline, the capture+encode pass
+   (the trace-production cost), and the §4.5 payoff: events/sec when
    every registry configuration replays from the recorded bytes,
    VM-free.  Two audits run first and exit 2 on failure: the ride-along
-   recorder (used when a live-analysis run is already paying for
-   capture) must not perturb the detector's digest, and the write-behind
-   materialization must reproduce the ride-along capture byte for
-   byte. *)
+   recorder must not perturb the detector's digest, and recording the
+   same (workload, seed) twice must produce byte-identical traces. *)
 
 module Trace = Raceguard_trace
 
@@ -687,9 +575,7 @@ let trace_run ~seed ~record () =
 let trace_configs =
   [
     ("sip-plain-detection-off", Obs.Json.Str "no tools attached");
-    ( "sip-record-write-behind",
-      Obs.Json.Str "record mode: log (workload, seed), write-behind capture" );
-    ("trace-capture-encode", Obs.Json.Str "deterministic capture re-execution + binary encode");
+    ("trace-capture-encode", Obs.Json.Str "run with the binary recorder attached + encode");
     ("trace-replay-registry", Obs.Json.Str "all registry configurations, offline");
   ]
 
@@ -710,49 +596,35 @@ let trace_rows ~quick ~seed =
       rec_digest base_reports base_digest;
     exit 2
   end;
-  (* audit 2: write-behind is sound only if the capture re-execution is
-     deterministic — materializing the same (workload, seed) twice must
-     produce byte-identical traces, with the same event count the
-     ride-along recorder saw *)
-  let deferred = R.Trace_ops.record_deferred ~seed Sip.Workload.t2 in
-  let materialized = R.Trace_ops.materialize deferred in
-  let mat_bytes = Det.Offline.contents materialized.R.Trace_ops.rec_recorder in
-  let again =
-    Det.Offline.contents (R.Trace_ops.record_test ~seed Sip.Workload.t2).R.Trace_ops.rec_recorder
-  in
-  if
-    (not (String.equal mat_bytes again))
-    || Det.Offline.length materialized.R.Trace_ops.rec_recorder <> events
-  then begin
+  (* audit 2: recording is deterministic — recording the same
+     (workload, seed) twice must produce byte-identical traces, with the
+     same event count the ride-along recorder saw *)
+  let record () = (R.Trace_ops.record_test ~seed Sip.Workload.t2).R.Trace_ops.rec_recorder in
+  let first = record () in
+  let rec_bytes = Det.Offline.contents first in
+  let again = Det.Offline.contents (record ()) in
+  if (not (String.equal rec_bytes again)) || Det.Offline.length first <> events then begin
     Printf.printf
-      "WRITE-BEHIND FIDELITY FAILURE: materialized trace diverges (%d bytes vs %d, %d \
-       events vs %d)\n"
-      (String.length mat_bytes) (String.length again)
-      (Det.Offline.length materialized.R.Trace_ops.rec_recorder)
-      events;
+      "RECORDING FIDELITY FAILURE: re-recorded trace diverges (%d bytes vs %d, %d events \
+       vs %d)\n"
+      (String.length rec_bytes) (String.length again) (Det.Offline.length first) events;
     exit 2
   end;
-  (* interleave the timed repetitions so clock drift hits all legs
-     equally: plain run | record-mode run | capture+encode pass *)
+  (* interleave the timed repetitions so clock drift hits both legs
+     equally: plain run | capture+encode pass *)
   let reps = if quick then 4 else 12 in
-  let spent_plain = ref 0. and spent_record = ref 0. and spent_encode = ref 0. in
-  plain_run ~seed ();
-  ignore (R.Trace_ops.record_deferred ~seed Sip.Workload.t2) (* warm-up *);
+  let spent_plain = ref 0. and spent_encode = ref 0. in
+  plain_run ~seed () (* warm-up *);
   for _ = 1 to reps do
     let t0 = Sys.time () in
     plain_run ~seed ();
     spent_plain := !spent_plain +. (Sys.time () -. t0);
     let t1 = Sys.time () in
-    ignore (R.Trace_ops.record_deferred ~seed Sip.Workload.t2);
-    spent_record := !spent_record +. (Sys.time () -. t1);
-    let t2 = Sys.time () in
-    ignore
-      (Det.Offline.contents
-         (R.Trace_ops.record_test ~seed Sip.Workload.t2).R.Trace_ops.rec_recorder);
-    spent_encode := !spent_encode +. (Sys.time () -. t2)
+    ignore (Det.Offline.contents (record ()));
+    spent_encode := !spent_encode +. (Sys.time () -. t1)
   done;
   let trace =
-    match Trace.Reader.of_string mat_bytes with
+    match Trace.Reader.of_string rec_bytes with
     | Ok t -> t
     | Error (`Msg m) ->
         Printf.printf "TRACE DECODE FAILURE: %s\n" m;
@@ -774,7 +646,7 @@ let trace_rows ~quick ~seed =
       r_events_per_sec = (if ns <= 0. then 0. else float_of_int events /. (ns /. 1e9));
       r_minor_words_per_event = 0.;
       r_normalized = 0.;
-      (* gated in-process below, not via the baseline comparison *)
+      (* audited in-process above, not via the baseline comparison *)
       r_checked = 0;
       r_fast_hits = 0;
       r_interned = 0;
@@ -783,9 +655,6 @@ let trace_rows ~quick ~seed =
   in
   let plain =
     row "sip-plain-detection-off" 0 "-" (!spent_plain /. float_of_int reps *. 1e9)
-  in
-  let record =
-    row "sip-record-write-behind" 0 "-" (!spent_record /. float_of_int reps *. 1e9)
   in
   let encode =
     row "trace-capture-encode" rec_reports rec_digest
@@ -802,25 +671,13 @@ let trace_rows ~quick ~seed =
       r_events_per_sec = (if replay_s <= 0. then 0. else float_of_int total /. replay_s);
     }
   in
-  let ratio =
-    if plain.r_events_per_sec <= 0. then 1.
-    else record.r_events_per_sec /. plain.r_events_per_sec
-  in
-  if ratio < 0.90 then begin
-    Printf.printf
-      "RECORD OVERHEAD GATE FAILURE: record-mode normalized throughput %.3f < 0.90 of \
-       the detection-off run\n"
-      ratio;
-    exit 2
-  end;
   Printf.printf
-    "record overhead gate OK: normalized throughput %.3f (>= 0.90 vs detection-off), %d \
-     events, %.2f bytes/event, capture+encode %.0f events/sec, replay %.0f events/sec \
-     across %d configs\n%!"
-    ratio events
-    (float_of_int (String.length mat_bytes) /. float_of_int events)
+    "trace suite: %d events, %.2f bytes/event, capture+encode %.0f events/sec, replay %.0f \
+     events/sec across %d configs\n%!"
+    events
+    (float_of_int (String.length rec_bytes) /. float_of_int events)
     encode.r_events_per_sec replay.r_events_per_sec n_configs;
-  [ plain; record; encode; replay ]
+  [ plain; encode; replay ]
 
 (* --- automated-repair pipeline -------------------------------------- *)
 
@@ -1317,86 +1174,77 @@ let compare_baseline ~threshold_pct ~baseline ~base rows =
 
 (* ------------------------------------------------------------------ *)
 
+let usage () =
+  prerr_endline
+    "usage: main.exe [--quick] [--seed N] [--domains N] [--out FILE] [--compare FILE] \
+     [--max-regression PCT]";
+  exit 2
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let json_mode = ref false
-  and quick = ref false
+  let quick = ref false
   and seed_ref = ref seed
   and domains = ref 1
   and out = ref "BENCH_detector.json"
   and baseline = ref None
-  and threshold = ref 25.
-  and positional = ref [] in
+  and threshold = ref 25. in
+  let number of_string x = match of_string x with Some v -> v | None -> usage () in
   let rec parse = function
     | [] -> ()
-    | "--json" :: rest ->
-        json_mode := true;
-        parse rest
     | "--quick" :: rest ->
         quick := true;
         parse rest
     | "--seed" :: n :: rest ->
-        seed_ref := int_of_string n;
+        seed_ref := number int_of_string_opt n;
         parse rest
     | "--domains" :: n :: rest ->
-        domains := int_of_string n;
+        domains := number int_of_string_opt n;
         parse rest
     | "--out" :: f :: rest ->
         out := f;
         parse rest
     | "--compare" :: f :: rest ->
-        json_mode := true;
         baseline := Some f;
         parse rest
     | "--max-regression" :: p :: rest ->
-        threshold := float_of_string p;
+        threshold := number float_of_string_opt p;
         parse rest
-    | x :: rest ->
-        positional := x :: !positional;
-        parse rest
+    | _ -> usage ()
   in
-  parse args;
-  if !json_mode then begin
-    (* check the baseline before spending minutes on the suite *)
-    let base =
-      Option.map
-        (fun file ->
-          match load_baseline file with
-          | Ok base -> base
-          | Error e ->
-              Printf.printf "BASELINE ERROR: %s\n" e;
-              exit 2)
-        !baseline
-    in
-    let domains = Raceguard_par.Par.resolve !domains in
-    Printf.printf "throughput suite: mode=%s seed=%d domains=%d\n%!"
-      (if !quick then "quick" else "full")
-      !seed_ref domains;
-    let rows = run_throughput ~quick:!quick ~seed:!seed_ref ~domains in
-    epoch_gate rows;
-    let rows = rows @ hints_rows ~quick:!quick ~seed:!seed_ref in
-    let rows = rows @ faults_rows ~quick:!quick ~seed:!seed_ref in
-    let rows = rows @ trace_rows ~quick:!quick ~seed:!seed_ref in
-    let rows = rows @ fix_rows ~quick:!quick ~seed:!seed_ref in
-    let rows = rows @ storm_rows ~quick:!quick ~seed:!seed_ref in
-    let scaling = scaling_rows ~seed:!seed_ref in
-    write_json ~out:!out ~quick:!quick ~seed:!seed_ref ~domains ~scaling rows;
-    print_summary rows;
-    Printf.printf "%-10s %8s %10s %14s %8s %8s\n" "scaling" "domains" "cells"
-      "cells/sec" "speedup" "steals";
-    List.iter
-      (fun l ->
-        Printf.printf "%-10s %8d %10d %14.2f %8.2f %8d\n" "" l.sc_domains l.sc_cells
-          l.sc_cells_per_sec l.sc_speedup l.sc_steals)
-      scaling;
-    Printf.printf "wrote %s\n" !out;
-    match (!baseline, base) with
-    | Some baseline, Some base ->
-        if not (compare_baseline ~threshold_pct:!threshold ~baseline ~base rows) then exit 2
-    | _ -> ()
-  end
-  else begin
-    let what = match !positional with [ x ] -> x | _ -> "all" in
-    if what = "tables" || what = "all" then run_tables ();
-    if what = "timings" || what = "all" then run_timings ()
-  end
+  parse (List.tl (Array.to_list Sys.argv));
+  (* check the baseline before spending minutes on the suite *)
+  let base =
+    Option.map
+      (fun file ->
+        match load_baseline file with
+        | Ok base -> base
+        | Error e ->
+            Printf.printf "BASELINE ERROR: %s\n" e;
+            exit 2)
+      !baseline
+  in
+  let domains = Raceguard_par.Par.resolve !domains in
+  Printf.printf "throughput suite: mode=%s seed=%d domains=%d\n%!"
+    (if !quick then "quick" else "full")
+    !seed_ref domains;
+  let rows = run_throughput ~quick:!quick ~seed:!seed_ref ~domains in
+  epoch_gate rows;
+  let rows = rows @ hints_rows ~quick:!quick ~seed:!seed_ref in
+  let rows = rows @ faults_rows ~quick:!quick ~seed:!seed_ref in
+  let rows = rows @ trace_rows ~quick:!quick ~seed:!seed_ref in
+  let rows = rows @ fix_rows ~quick:!quick ~seed:!seed_ref in
+  let rows = rows @ storm_rows ~quick:!quick ~seed:!seed_ref in
+  let scaling = scaling_rows ~seed:!seed_ref in
+  write_json ~out:!out ~quick:!quick ~seed:!seed_ref ~domains ~scaling rows;
+  print_summary rows;
+  Printf.printf "%-10s %8s %10s %14s %8s %8s\n" "scaling" "domains" "cells"
+    "cells/sec" "speedup" "steals";
+  List.iter
+    (fun l ->
+      Printf.printf "%-10s %8d %10d %14.2f %8.2f %8d\n" "" l.sc_domains l.sc_cells
+        l.sc_cells_per_sec l.sc_speedup l.sc_steals)
+    scaling;
+  Printf.printf "wrote %s\n" !out;
+  match (!baseline, base) with
+  | Some baseline, Some base ->
+      if not (compare_baseline ~threshold_pct:!threshold ~baseline ~base rows) then exit 2
+  | _ -> ()

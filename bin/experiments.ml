@@ -306,6 +306,16 @@ let pp_verdict ppf (v : Det.Offline.verdict) =
     (String.sub v.v_sig_digest 0 12)
     (String.sub v.v_report_digest 0 12)
 
+(* Rejects N <= 0 as a usage error instead of letting the trace writer
+   raise on it mid-run. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let trace_record_cmd =
   let doc =
     "Record a test case into a compact raceguard-trace/1 binary file: one VM run with the \
@@ -326,7 +336,7 @@ let trace_record_cmd =
   let snapshot_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "snapshot-every" ] ~docv:"N" ~doc:"snapshot marker cadence in events")
   in
   let verify_arg =

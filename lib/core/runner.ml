@@ -20,7 +20,6 @@ type config = {
       (** configurations run side by side on the same event stream *)
   run_fasttrack : bool;
   server : Sip.Proxy.config;
-  trace_events : bool;
   max_ops : int;
   tracer : Obs.Trace.t option;
       (** offered every VM event and every detector decision *)
@@ -40,7 +39,6 @@ let default =
       ];
     run_fasttrack = false;
     server = { Sip.Proxy.default_config with annotate = true };
-    trace_events = false;
     max_ops = 50_000_000;
     tracer = None;
     faults = None;
@@ -63,8 +61,6 @@ let run_main ?(tools = []) config main =
     {
       Vm.Engine.seed = config.seed;
       policy = config.policy;
-      reuse_memory = true;
-      trace_events = config.trace_events;
       max_ops = config.max_ops;
       tracer = config.tracer;
       faults = config.faults;

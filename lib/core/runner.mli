@@ -19,7 +19,6 @@ type config = {
       (** named configurations run side by side *)
   run_fasttrack : bool;  (** epoch-based HB detector alongside (or instead) *)
   server : Sip.Proxy.config;
-  trace_events : bool;
   max_ops : int;
   tracer : Obs.Trace.t option;
       (** installed on the VM and on every Helgrind instance, so one

@@ -13,9 +13,9 @@
     - "it detects only the first apparent data race" per location:
       [first_only] reproduces this (default true);
     - §2.2 criticises detectors that assume signal/wait imposes a
-      strong order; [sync_on_cond]/[sync_on_sem] let you toggle whether
-      condition-variable and semaphore edges are honoured, so the
-      effect of that (unsound) assumption is measurable. *)
+      strong order; [sync_on_sem] toggles whether semaphore edges are
+      honoured, so the effect of that (unsound) assumption is
+      measurable. *)
 
 module Loc = Raceguard_util.Loc
 module Vm = Raceguard_vm
@@ -23,14 +23,12 @@ module Vc = Vector_clock
 open Vm.Event
 
 type config = {
-  sync_on_cond : bool;
   sync_on_sem : bool;
   sync_on_annotations : bool;  (** honour HAPPENS_BEFORE/AFTER requests *)
   first_only : bool;
 }
 
-let default_config =
-  { sync_on_cond = true; sync_on_sem = true; sync_on_annotations = true; first_only = true }
+let default_config = { sync_on_sem = true; sync_on_annotations = true; first_only = true }
 
 type last_access = { a_tid : int; a_clk : int; a_loc : Loc.t }
 
@@ -58,8 +56,7 @@ let create ?(config = default_config) ?(suppressions = []) () =
       Hb_clocks.create
         ~config:
           {
-            Hb_clocks.sync_on_cond = config.sync_on_cond;
-            sync_on_sem = config.sync_on_sem;
+            Hb_clocks.sync_on_sem = config.sync_on_sem;
             sync_on_annotations = config.sync_on_annotations;
           }
         ();

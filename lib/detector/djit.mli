@@ -8,10 +8,10 @@
     and with schedule-dependent misses instead. *)
 
 type config = {
-  sync_on_cond : bool;
-      (** treat condition signal→wait as ordering; §2.2 criticises
-          detectors for assuming this holds on all SMP systems *)
-  sync_on_sem : bool;  (** treat semaphore post→wait as ordering *)
+  sync_on_sem : bool;
+      (** treat semaphore post→wait as ordering; §2.2 criticises
+          detectors for assuming signal/wait ordering holds on all SMP
+          systems *)
   sync_on_annotations : bool;  (** honour HAPPENS_BEFORE/AFTER requests *)
   first_only : bool;
       (** stop checking a location after its first report ("it detects

@@ -50,9 +50,6 @@ let m_promotions = Metrics.counter "detector.fasttrack.read_promotions"
 let m_demotions = Metrics.counter "detector.fasttrack.read_demotions"
 
 type config = {
-  sync_on_cond : bool;
-  sync_on_sem : bool;
-  sync_on_annotations : bool;
   first_only : bool;  (** stop checking a location after its first report *)
   demote_check : int;
       (** attempt read-shared → epoch demotion every [demote_check]-th
@@ -61,14 +58,7 @@ type config = {
           moves the representation-maintenance cost. *)
 }
 
-let default_config =
-  {
-    sync_on_cond = true;
-    sync_on_sem = true;
-    sync_on_annotations = true;
-    first_only = true;
-    demote_check = 32;
-  }
+let default_config = { first_only = true; demote_check = 32 }
 
 (* read vector of a promoted (read-shared) cell: per-tid last-read
    clock/site plus a per-cell recency sequence.  Equivalent to DJIT's
@@ -111,15 +101,7 @@ type t = {
 let create ?(config = default_config) ?(suppressions = []) () =
   {
     config;
-    clocks =
-      Hb_clocks.create
-        ~config:
-          {
-            Hb_clocks.sync_on_cond = config.sync_on_cond;
-            sync_on_sem = config.sync_on_sem;
-            sync_on_annotations = config.sync_on_annotations;
-          }
-        ();
+    clocks = Hb_clocks.create ();
     shadow = [||];
     collector = Report.collector ~suppressions ();
     accesses_checked = 0;
@@ -133,9 +115,6 @@ let config_to_json c =
   J.Obj
     [
       ("detector", J.Str "fasttrack");
-      ("sync_on_cond", J.Bool c.sync_on_cond);
-      ("sync_on_sem", J.Bool c.sync_on_sem);
-      ("sync_on_annotations", J.Bool c.sync_on_annotations);
       ("first_only", J.Bool c.first_only);
       ("demote_check", J.int c.demote_check);
     ]

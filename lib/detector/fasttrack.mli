@@ -11,9 +11,6 @@
     argues why both moves preserve reports). *)
 
 type config = {
-  sync_on_cond : bool;  (** treat condition signal→wait as ordering *)
-  sync_on_sem : bool;  (** treat semaphore post→wait as ordering *)
-  sync_on_annotations : bool;  (** honour HAPPENS_BEFORE/AFTER requests *)
   first_only : bool;  (** stop checking a location after its first report *)
   demote_check : int;
       (** attempt read-shared → epoch demotion every [demote_check]-th

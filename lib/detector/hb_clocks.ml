@@ -2,17 +2,17 @@
 
     Both vector-clock-based detectors ({!Djit}, {!Racetrack}) need the
     same bookkeeping: a clock per thread, advanced and joined along
-    create/join edges, lock release→acquire edges, and (configurably)
-    condition-variable, semaphore and annotation edges.  This module
-    owns that state; detectors keep only their shadow memory. *)
+    create/join edges, lock release→acquire and condition-variable
+    edges, and (configurably) semaphore and annotation edges.  This
+    module owns that state; detectors keep only their shadow memory. *)
 
 module Vm = Raceguard_vm
 module Vc = Vector_clock
 open Vm.Event
 
-type config = { sync_on_cond : bool; sync_on_sem : bool; sync_on_annotations : bool }
+type config = { sync_on_sem : bool; sync_on_annotations : bool }
 
-let default_config = { sync_on_cond = true; sync_on_sem = true; sync_on_annotations = true }
+let default_config = { sync_on_sem = true; sync_on_annotations = true }
 
 type t = {
   config : config;
@@ -120,10 +120,8 @@ let on_event t (e : Vm.Event.t) =
       | Mutex m -> release_edge t tid (vc_of t.mutexes m)
       | Rwlock rw -> release_edge t tid (vc_of t.rwlocks rw)
       | Cond _ | Sem _ -> ())
-  | E_cond_signal { tid; cv; _ } ->
-      if t.config.sync_on_cond then release_edge t tid (vc_of t.conds cv)
-  | E_cond_wait_post { tid; cv; _ } ->
-      if t.config.sync_on_cond then acquire_edge t tid (vc_of t.conds cv)
+  | E_cond_signal { tid; cv; _ } -> release_edge t tid (vc_of t.conds cv)
+  | E_cond_wait_post { tid; cv; _ } -> acquire_edge t tid (vc_of t.conds cv)
   | E_sem_post { tid; sem; _ } ->
       if t.config.sync_on_sem then release_edge t tid (vc_of t.sems sem)
   | E_sem_wait_post { tid; sem; _ } ->

@@ -1,14 +1,10 @@
 (** Shared happens-before clock maintenance for the vector-clock-based
     detectors ({!Djit}, {!Racetrack}): one clock per thread, advanced
-    and joined along create/join, lock release→acquire, and
-    (configurably) condition-variable, semaphore and annotation
-    edges. *)
+    and joined along create/join, lock release→acquire and
+    condition-variable edges, and (configurably) semaphore and
+    annotation edges. *)
 
-type config = {
-  sync_on_cond : bool;
-  sync_on_sem : bool;
-  sync_on_annotations : bool;
-}
+type config = { sync_on_sem : bool; sync_on_annotations : bool }
 
 val default_config : config
 (** All edge sources on. *)

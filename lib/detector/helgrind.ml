@@ -65,7 +65,6 @@ type config = {
   track_rwlocks : bool;
       (** understand POSIX rw-lock events; the original Helgrind did not *)
   eraser_states : bool;  (** Figure 1 state machine (vs. pure Eraser) *)
-  report_reads : bool;  (** also report reads with empty lock-set *)
   hb_annotations : bool;
       (** honour HAPPENS_BEFORE/AFTER client requests: the paper's §5
           future work ("higher level constructs for synchronization
@@ -90,7 +89,6 @@ let original =
     thread_segments = true;
     track_rwlocks = false;
     eraser_states = true;
-    report_reads = true;
     hb_annotations = false;
     fast_path = true;
     provenance = false;
@@ -131,7 +129,6 @@ let config_to_json c =
       ("thread_segments", J.Bool c.thread_segments);
       ("track_rwlocks", J.Bool c.track_rwlocks);
       ("eraser_states", J.Bool c.eraser_states);
-      ("report_reads", J.Bool c.report_reads);
       ("hb_annotations", J.Bool c.hb_annotations);
       ("fast_path", J.Bool c.fast_path);
       ("provenance", J.Bool c.provenance);
@@ -519,8 +516,7 @@ let check_access t ctx ~access ~tid ~addr ~atomic ~loc =
                | Read ->
                    let ls' = Lockset.inter ls any_set in
                    if ls' != ls then set_st t ctx c ~tid ~access ~prev ~loc (Shared_mod ls');
-                   if t.config.report_reads then
-                     warn t ctx c ~tid ~addr ~loc ~prev Report.Race_read ls'
+                   warn t ctx c ~tid ~addr ~loc ~prev Report.Race_read ls'
                | Write ->
                    let ls' = Lockset.inter ls write_set in
                    if ls' != ls then set_st t ctx c ~tid ~access ~prev ~loc (Shared_mod ls');

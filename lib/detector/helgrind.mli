@@ -34,9 +34,6 @@ type config = {
   eraser_states : bool;
       (** the Figure-1 state machine; [false] runs the naive textbook
           Eraser (candidate set refined from the very first access) *)
-  report_reads : bool;
-      (** also report reads with an empty candidate set in the
-          Shared-Modified state *)
   hb_annotations : bool;
       (** honour [ANNOTATE_HAPPENS_BEFORE]/[_AFTER] client requests —
           the §5 future-work extension for higher-level

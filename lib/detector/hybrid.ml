@@ -26,52 +26,21 @@ type gate_engine =
           answers (both probes implement the same unordered-now
           question over equivalent state), cheaper per access *)
 
-type config = {
-  helgrind : Helgrind.config;
-  sync_on_cond : bool;  (** HB edges for condition variables *)
-  sync_on_sem : bool;  (** HB edges for semaphores *)
-  gate : gate_engine;
-}
+type config = { gate : gate_engine }
 
-let default_config =
-  {
-    helgrind = Helgrind.hwlc_dr;
-    sync_on_cond = true;
-    sync_on_sem = true;
-    gate = Vector_clocks;
-  }
+let default_config = { gate = Vector_clocks }
 
-let epoch_config = { default_config with gate = Epochs }
+let epoch_config = { gate = Epochs }
 
 type engine = Vc of Djit.t | Ft of Fasttrack.t
 type t = { lockset : Helgrind.t; hb : engine }
 
 let create ?(config = default_config) ?(suppressions = []) () =
-  let lockset = Helgrind.create ~suppressions config.helgrind in
+  let lockset = Helgrind.create ~suppressions Helgrind.hwlc_dr in
   let hb =
     match config.gate with
-    | Vector_clocks ->
-        Vc
-          (Djit.create
-             ~config:
-               {
-                 Djit.sync_on_cond = config.sync_on_cond;
-                 sync_on_sem = config.sync_on_sem;
-                 sync_on_annotations = true;
-                 first_only = false;
-               }
-             ())
-    | Epochs ->
-        Ft
-          (Fasttrack.create
-             ~config:
-               {
-                 Fasttrack.default_config with
-                 sync_on_cond = config.sync_on_cond;
-                 sync_on_sem = config.sync_on_sem;
-                 first_only = false;
-               }
-             ())
+    | Vector_clocks -> Vc (Djit.create ~config:{ Djit.default_config with first_only = false } ())
+    | Epochs -> Ft (Fasttrack.create ~config:{ Fasttrack.default_config with first_only = false } ())
   in
   (* the gate: a lock-set warning survives only when the access is
      genuinely unordered with a previous conflicting access *)

@@ -11,15 +11,12 @@ type gate_engine =
   | Vector_clocks  (** full-VC {!Djit} gate — the historical default *)
   | Epochs  (** {!Fasttrack} gate with adaptive demotion — same answers *)
 
-type config = {
-  helgrind : Helgrind.config;
-  sync_on_cond : bool;  (** HB edges for condition variables *)
-  sync_on_sem : bool;  (** HB edges for semaphores *)
-  gate : gate_engine;
-}
+type config = { gate : gate_engine }
+(** Lock-sets are always {!Helgrind.hwlc_dr} and the gate honours every
+    HB edge source. *)
 
 val default_config : config
-(** HWLC+DR lock-sets, all HB edge sources on, vector-clock gate. *)
+(** The vector-clock gate. *)
 
 val epoch_config : config
 (** [default_config] with the epoch ({!Fasttrack}) gate. *)

@@ -9,7 +9,7 @@
     the location is effectively exclusive and the candidate lock-set
     stays at ⊤, so initialisation, read-sharing {e and ownership
     transfer through any synchronisation} (including the queue handoffs
-    of §4.2.3 — via lock edges and, configurably, cond/sem edges) are
+    of §4.2.3 — via lock, cond and sem edges) are
     accepted without annotations.  Only while the threadset is
     genuinely concurrent does lock-set refinement and checking run.
 
@@ -20,14 +20,9 @@
 module Vm = Raceguard_vm
 open Vm.Event
 
-type config = {
-  hb : Hb_clocks.config;
-  bus_model : Helgrind.bus_model;  (** same semantics as in {!Helgrind} *)
-  report_reads : bool;
-}
+type config = { bus_model : Helgrind.bus_model  (** same semantics as in {!Helgrind} *) }
 
-let default_config =
-  { hb = Hb_clocks.default_config; bus_model = Helgrind.Rw_lock; report_reads = true }
+let default_config = { bus_model = Helgrind.Rw_lock }
 
 type cell = {
   mutable lockset : Lockset.t;
@@ -47,7 +42,7 @@ type t = {
 let create ?(config = default_config) ?(suppressions = []) () =
   {
     config;
-    clocks = Hb_clocks.create ~config:config.hb ();
+    clocks = Hb_clocks.create ();
     shadow = [||];
     locks = [||];
     lock_names = Hashtbl.create 64;
@@ -154,7 +149,7 @@ let check_access t ctx ~access ~tid ~addr ~atomic ~loc =
     if Lockset.is_empty ls && not (is_benign t addr) then
       match access with
       | Write -> report t ctx ~kind:Report.Race_write ~tid ~addr ~loc c
-      | Read -> if t.config.report_reads then report t ctx ~kind:Report.Race_read ~tid ~addr ~loc c
+      | Read -> report t ctx ~kind:Report.Race_read ~tid ~addr ~loc c
   end
 
 let acquire t tid uid mode = Held_locks.acquire (thread_locks t tid) uid mode

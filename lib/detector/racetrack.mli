@@ -9,11 +9,7 @@
     annotations, at the price of the happens-before family's schedule
     dependence. *)
 
-type config = {
-  hb : Hb_clocks.config;
-  bus_model : Helgrind.bus_model;  (** same semantics as in {!Helgrind} *)
-  report_reads : bool;
-}
+type config = { bus_model : Helgrind.bus_model  (** same semantics as in {!Helgrind} *) }
 
 val default_config : config
 (** Corrected (rw-lock) bus model, all HB edge sources on. *)

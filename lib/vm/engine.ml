@@ -39,9 +39,6 @@ let h_thread_ops = Metrics.histogram "vm.ops_per_thread"
 type policy =
   | Round_robin  (** strict FIFO over ready threads *)
   | Random_seeded  (** uniformly random among ready threads (uses seed) *)
-  | Sticky
-      (** keep running the current thread until it blocks or exits;
-          models a coarse-grained interleaving with few switches *)
   | Scripted of int array
       (** replay a decision script: the k-th scheduling decision picks
           ready thread [script.(k) mod n], reduced into [\[0, n)] for
@@ -52,14 +49,11 @@ type policy =
 let pp_policy ppf = function
   | Round_robin -> Fmt.string ppf "round-robin"
   | Random_seeded -> Fmt.string ppf "random"
-  | Sticky -> Fmt.string ppf "sticky"
   | Scripted s -> Fmt.pf ppf "scripted[%d]" (Array.length s)
 
 type config = {
   seed : int;
   policy : policy;
-  reuse_memory : bool;
-  trace_events : bool;  (** record the full event trace (offline analysis) *)
   max_ops : int;  (** safety valve against runaway simulations *)
   tracer : Trace.t option;
       (** when set, every emitted event is offered to this sampling
@@ -76,8 +70,6 @@ let default_config =
   {
     seed = 1;
     policy = Random_seeded;
-    reuse_memory = true;
-    trace_events = false;
     max_ops = 50_000_000;
     tracer = None;
     faults = None;
@@ -176,7 +168,6 @@ type outcome = {
   deadlock : deadlock option;
   failures : (int * string * exn) list;  (** threads that raised *)
   stats : run_stats;
-  trace : Event.t array;  (** empty unless [trace_events] *)
 }
 
 exception Misuse of string
@@ -214,9 +205,8 @@ type t = {
   mutable switches : int;
   mutable tools : Tool.t list;
   mutable observed : bool;
-      (** some consumer sees events (a tool, [trace_events] or a
-          tracer); when false, plain accesses only count theirs *)
-  mutable trace : Event.t Growvec.t;
+      (** some consumer sees events (a tool or a tracer); when false,
+          plain accesses only count theirs *)
   mutable benign_ranges : (int * int) list;
   mutable decisions : (int * int) list;
       (** reverse log of (chosen index, arity) for decision points with
@@ -250,7 +240,7 @@ let create ?(config = default_config) () =
   {
     config;
     rng = Rng.create ~seed:config.seed;
-    memory = Memory.create ~reuse:config.reuse_memory ();
+    memory = Memory.create ();
     threads = Growvec.create ~dummy:dummy_thread;
     mutexes =
       Growvec.create ~dummy:{ m_id = -1; m_name = ""; m_owner = None; m_waiters = Queue.create () };
@@ -267,8 +257,7 @@ let create ?(config = default_config) () =
     ops = 0;
     switches = 0;
     tools = [];
-    observed = config.trace_events || config.tracer <> None;
-    trace = Growvec.create ~dummy:(Event.E_thread_exit { tid = -1 });
+    observed = config.tracer <> None;
     benign_ranges = [];
     decisions = [];
     cached_ctx = None;
@@ -312,7 +301,6 @@ let rec dispatch ctx event = function
 
 let emit t event =
   Metrics.incr m_events;
-  if t.config.trace_events then ignore (Growvec.push t.trace event);
   (match t.config.tracer with
   | None -> ()
   | Some tr ->
@@ -354,10 +342,6 @@ let pick_ready t =
       match t.config.policy with
       | Round_robin -> 0
       | Random_seeded -> Rng.int t.rng n
-      | Sticky ->
-          (* prefer the thread that ran last if it is ready *)
-          let rec find i = if i >= n then 0 else if t.ready.(i) = t.current then i else find (i + 1) in
-          find 0
       | Scripted script ->
           let k = t.decision_count in
           if k < Array.length script then
@@ -369,7 +353,7 @@ let pick_ready t =
       t.decision_count <- t.decision_count + 1;
       match t.config.policy with
       | Scripted _ -> t.decisions <- (choice, n) :: t.decisions
-      | Round_robin | Random_seeded | Sticky -> ()
+      | Round_robin | Random_seeded -> ()
     end;
     take_ready_at t choice
   end
@@ -934,5 +918,4 @@ let run t main =
         memory_allocs = Memory.total_allocs t.memory;
         memory_live_words = Memory.live_words t.memory;
       };
-    trace = Array.init (Growvec.length t.trace) (fun i -> Growvec.get t.trace i);
   }

@@ -11,9 +11,6 @@
 type policy =
   | Round_robin  (** strict FIFO over ready threads *)
   | Random_seeded  (** uniformly random among ready threads (uses seed) *)
-  | Sticky
-      (** keep running the current thread until it blocks or exits;
-          models a coarse-grained interleaving with few switches *)
   | Scripted of int array
       (** replay a decision script: the k-th nontrivial scheduling
           decision picks ready thread [script.(k) mod n], reduced
@@ -26,8 +23,6 @@ val pp_policy : Format.formatter -> policy -> unit
 type config = {
   seed : int;
   policy : policy;
-  reuse_memory : bool;  (** allocator recycles freed blocks *)
-  trace_events : bool;  (** record the full event trace in the outcome *)
   max_ops : int;  (** safety valve against runaway simulations *)
   tracer : Raceguard_obs.Trace.t option;
       (** offer every emitted event to this sampling ring tracer
@@ -70,7 +65,6 @@ type outcome = {
       (** threads that raised, as (tid, name, exn); API misuse (bad
           unlock, double free, out-of-bounds access) lands here *)
   stats : run_stats;
-  trace : Event.t array;  (** empty unless [config.trace_events] *)
 }
 
 exception Misuse of string
@@ -91,9 +85,9 @@ val create : ?config:config -> unit -> t
 
 val add_tool : t -> Tool.t -> unit
 (** Attach a tool; it sees every event from then on.  Any number of
-    tools can watch the same run.  A VM with no tool, no
-    [trace_events] and no tracer builds no read/write event records;
-    it only counts them in [vm.events_emitted]. *)
+    tools can watch the same run.  A VM with no tool and no tracer
+    builds no read/write event records; it only counts them in
+    [vm.events_emitted]. *)
 
 val run : t -> (unit -> unit) -> outcome
 (** Execute [main] as thread 0 until every thread finishes, a deadlock

@@ -19,10 +19,9 @@ type block = {
 
 type t
 
-val create : ?reuse:bool -> unit -> t
-(** [reuse] (default true): freed blocks are recycled LIFO from
-    size-segregated free lists, like a production malloc; with [false]
-    every allocation gets fresh addresses. *)
+val create : unit -> t
+(** Freed blocks are recycled LIFO from size-segregated free lists,
+    like a production malloc. *)
 
 val null : int
 

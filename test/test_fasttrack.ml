@@ -44,7 +44,7 @@ let ft_digests f =
 (* --- the equivalence law on random schedules ----------------------------- *)
 
 let ft_config ~first_only ~demote_check =
-  { Det.Fasttrack.default_config with first_only; demote_check }
+  { Det.Fasttrack.first_only; demote_check }
 
 let qc_equivalence =
   QCheck2.Test.make ~name:"fasttrack ≡ djit (digests, random schedules)" ~count:50

@@ -474,7 +474,7 @@ let test_racetrack_refcount_bus_model () =
   Alcotest.(check bool) "reported under the original bus model" true
     (Det.Racetrack.location_count
        (run_racetrack
-          ~config:{ Det.Racetrack.default_config with bus_model = Det.Helgrind.Locked_mutex }
+          ~config:{ Det.Racetrack.bus_model = Det.Helgrind.Locked_mutex }
           refcount)
     > 0)
 

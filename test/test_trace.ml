@@ -286,18 +286,6 @@ let test_recording_deterministic () =
   let c = Det.Offline.contents (R.Trace_ops.record_test ~seed:42 t4).rec_recorder in
   Alcotest.(check bool) "different seed => different trace" true (a <> c)
 
-let test_write_behind_materialize () =
-  (* record mode logs only (workload, seed); materializing must yield the
-     same bytes as an eager capture run, and must cache the result *)
-  let d = R.Trace_ops.record_deferred ~seed:7 t4 in
-  let m1 = R.Trace_ops.materialize d in
-  let m2 = R.Trace_ops.materialize d in
-  Alcotest.(check bool) "materialize is cached" true (m1 == m2);
-  let eager = Det.Offline.contents (R.Trace_ops.record_test ~seed:7 t4).rec_recorder in
-  Alcotest.(check bool)
-    "materialized bytes == eager capture bytes" true
-    (String.equal (Det.Offline.contents m1.rec_recorder) eager)
-
 let test_trace_self_describing () =
   let r = R.Trace_ops.record_test ~seed:7 t4 in
   let t = decode_exn (Det.Offline.contents r.rec_recorder) in
@@ -535,8 +523,6 @@ let suite =
       Alcotest.test_case "corrupt containers rejected" `Quick test_corruption_rejected;
       Alcotest.test_case "monotonic clock enforced" `Quick test_monotonic_clock_enforced;
       Alcotest.test_case "recording is deterministic" `Slow test_recording_deterministic;
-      Alcotest.test_case "write-behind materialization matches eager capture" `Slow
-        test_write_behind_materialize;
       Alcotest.test_case "trace is self-describing" `Slow test_trace_self_describing;
       Alcotest.test_case "replay byte-identical to live (T1-T8 x 10 configs x 2 seeds)" `Slow
         test_replay_matches_live;
