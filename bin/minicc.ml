@@ -25,6 +25,11 @@ open Cmdliner
 module M = Raceguard_minicc
 module Det = Raceguard_detector
 module Vm = Raceguard_vm
+module R = Raceguard
+
+(* Every run goes through the Runner with no detector of its own: the
+   command attaches exactly the tools it reports on. *)
+let plain seed = { R.Runner.default with seed; helgrind_configs = [] }
 
 let read_file path =
   let ic = open_in_bin path in
@@ -94,10 +99,10 @@ let annotate_cmd =
 let dynamic_reports ~seed ~file ~src =
   let pp = M.Preprocess.with_builtins () in
   let interp, _pretty, _n = M.Interp.compile ~annotate:true ~preprocessor:pp ~file src in
-  let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
   let helgrind = Det.Helgrind.create Det.Helgrind.hwlc_dr in
-  Vm.Engine.add_tool vm (Det.Helgrind.tool helgrind);
-  let (_ : Vm.Engine.outcome) = Vm.Engine.run vm (fun () -> M.Interp.run_main interp) in
+  ignore
+    (R.Runner.run_main ~tools:[ Det.Helgrind.tool helgrind ] (plain seed) (fun () ->
+         M.Interp.run_main interp));
   Det.Helgrind.reports helgrind
 
 let lint_cmd =
@@ -240,9 +245,7 @@ let run_cmd =
     let interp, _pretty, n_annotated =
       M.Interp.compile ~annotate:(not no_annotate) ~preprocessor:pp ~file src
     in
-    let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
     let helgrind = Det.Helgrind.create ~suppressions config in
-    Vm.Engine.add_tool vm (Det.Helgrind.tool helgrind);
     if static_hints then begin
       (* compile already checked this source; a fresh parse feeds the
          static pass, whose hint sites are (file, line)s of allocations *)
@@ -252,23 +255,14 @@ let run_cmd =
       Printf.eprintf "static hints: %d thread-local allocation site(s)\n%!"
         (List.length sr.M.Static_race.hint_locs)
     end;
-    let djit_t =
-      if djit then begin
-        let d = Det.Djit.create ~suppressions () in
-        Vm.Engine.add_tool vm (Det.Djit.tool d);
-        Some d
-      end
-      else None
+    let djit_t = if djit then Some (Det.Djit.create ~suppressions ()) else None in
+    let lo_t = if lock_order then Some (Det.Lock_order.create ~suppressions ()) else None in
+    let tools =
+      (Det.Helgrind.tool helgrind :: Option.to_list (Option.map Det.Djit.tool djit_t))
+      @ Option.to_list (Option.map Det.Lock_order.tool lo_t)
     in
-    let lo_t =
-      if lock_order then begin
-        let l = Det.Lock_order.create ~suppressions () in
-        Vm.Engine.add_tool vm (Det.Lock_order.tool l);
-        Some l
-      end
-      else None
-    in
-    let outcome = Vm.Engine.run vm (fun () -> M.Interp.run_main interp) in
+    let res, _ = R.Runner.run_main ~tools (plain seed) (fun () -> M.Interp.run_main interp) in
+    let outcome = res.R.Runner.outcome in
     List.iter (fun line -> print_endline line) (M.Interp.output interp);
     Printf.printf "== %s: %d ops, %d thread(s), %d delete(s) annotated ==\n" file
       outcome.stats.ops_executed outcome.stats.threads_created n_annotated;

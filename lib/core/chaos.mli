@@ -79,9 +79,9 @@ val run_cell :
 val grid : config -> (Faults.Plan.t * Sip.Workload.test_case * bool) array
 (** The cell grid in the order the sequential runner executes it:
     plans outermost, then tests, resilient before baseline; the T1–T8
-    grid first, then the shard-plan × scenario grid.  Exposed
-    so harnesses (the bench scaling suite) can drive {!run_cell} over
-    the pool themselves and read the steal statistics. *)
+    grid first, then the shard-plan × scenario grid.  Exposed so
+    harnesses (perfbench's chaos-grid workload) can drive {!run_cell}
+    over the pool themselves and read the steal statistics. *)
 
 type report = {
   rp_seed : int;

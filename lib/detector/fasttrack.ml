@@ -43,7 +43,7 @@ module Metrics = Raceguard_obs.Metrics
 open Vm.Event
 
 (* Process-global instruments (aggregate across instances; the
-   per-instance counters below feed the bench's per-row hit rates). *)
+   per-instance counters below give one run's hit rate). *)
 let m_accesses = Metrics.counter "detector.fasttrack.accesses_checked"
 let m_epoch_hits = Metrics.counter "detector.fasttrack.epoch_hits"
 let m_promotions = Metrics.counter "detector.fasttrack.read_promotions"
@@ -109,15 +109,6 @@ let create ?(config = default_config) ?(suppressions = []) () =
     promotions = 0;
     demotions = 0;
   }
-
-let config_to_json c =
-  let module J = Raceguard_obs.Json in
-  J.Obj
-    [
-      ("detector", J.Str "fasttrack");
-      ("first_only", J.Bool c.first_only);
-      ("demote_check", J.int c.demote_check);
-    ]
 
 let reports t = Report.occurrences t.collector
 let locations t = Report.locations t.collector

@@ -34,8 +34,6 @@ val unordered_now : t -> tid:int -> addr:int -> write:bool -> bool
     [write] makes previous reads conflict too.  Cells retired by
     [first_only] answer [false]. *)
 
-val config_to_json : config -> Raceguard_obs.Json.t
-
 val reports : t -> Report.t list
 val locations : t -> (Report.t * int) list
 val location_count : t -> int
@@ -47,7 +45,7 @@ val collector : t -> Report.collector
 val accesses_checked : t -> int
 val epoch_hits : t -> int
 (** Accesses fully decided in the epoch representation — the fast-path
-    hit count the bench gate pins. *)
+    hit count test_fasttrack's epoch gate reads. *)
 
 val read_promotions : t -> int
 (** Cells promoted epoch → read vector (concurrent readers). *)

@@ -116,8 +116,8 @@ let pp_config_name ppf c =
   let base = if c.hb_annotations then base ^ "+HB" else base in
   Fmt.string ppf base
 
-(** Full config echo for machine-readable outputs (bench rows, explain
-    JSON) — every knob, not just the derived display name. *)
+(** Full config echo for machine-readable outputs (explain and
+    trace JSON) — every knob, not just the derived display name. *)
 let config_to_json c =
   let module J = Raceguard_obs.Json in
   J.Obj

@@ -70,7 +70,7 @@ val pp_config_name : Format.formatter -> config -> unit
 
 val config_to_json : config -> Raceguard_obs.Json.t
 (** Every knob of the configuration, for machine-readable outputs
-    (bench row config echo, explain JSON). *)
+    (explain and trace JSON). *)
 
 (** {1 Running} *)
 

@@ -18,7 +18,7 @@ module Iss = Raceguard_util.Int_sorted_set
 module Metrics = Raceguard_obs.Metrics
 
 (* The single stats path: these instruments live in the process-global
-   registry; [stats ()] reads the same handles, so E9, the bench and
+   registry; [stats ()] reads the same handles, so E9, perfbench and
    the runner all see one source of truth. *)
 let m_interned = Metrics.gauge "detector.lockset.interned"
 let m_inter_memo_entries = Metrics.gauge "detector.lockset.inter_memo_entries"

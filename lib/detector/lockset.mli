@@ -42,6 +42,6 @@ val interned_count : unit -> int
 
 val stats : unit -> int * int * int * int
 (** [(interned sets, memoised intersections, memo hits, memo misses)]
-    — process-global counters for the perf experiment and bench. *)
+    — process-global counters for the perf experiment and benchmark. *)
 
 val pp : name_of:(int -> string) -> Format.formatter -> t -> unit

@@ -17,9 +17,10 @@
     not of an in-memory object graph.
 
     The {!sink} registry names the ten detector configurations the
-    replay plane drives (the bench subjects plus the §5 annotation
-    extension); {!replay_config} is the pure per-config cell the
-    parallel fan-out in [lib/core] maps across domains. *)
+    replay plane drives (the paper's Helgrind column, the surveyed
+    baselines and the §5 annotation extension); {!replay_config} is
+    the pure per-config cell the parallel fan-out in [lib/core] maps
+    across domains. *)
 
 module Vm = Raceguard_vm
 module Loc = Raceguard_util.Loc
@@ -61,7 +62,6 @@ let replay r (tool : Vm.Tool.t) = Trace.Reader.replay (decode r) [ tool ]
     rendered occurrences without knowing which algorithm it is. *)
 type sink = {
   sk_name : string;
-  sk_config : Json.t;  (** full configuration, echoed into JSON outputs *)
   sk_tool : Vm.Tool.t;
   sk_occurrences : unit -> Report.t list;
   sk_locations : unit -> (Report.t * int) list;
@@ -71,7 +71,6 @@ let helgrind cfg name =
   let h = Helgrind.create cfg in
   {
     sk_name = name;
-    sk_config = Helgrind.config_to_json cfg;
     sk_tool = Helgrind.tool h;
     sk_occurrences = (fun () -> Helgrind.reports h);
     sk_locations = (fun () -> Helgrind.locations h);
@@ -86,12 +85,10 @@ module type DETECTOR = sig
   val locations : t -> (Report.t * int) list
 end
 
-let detector (type d) (module D : DETECTOR with type t = d) ?config (create : unit -> d) name
-    =
+let detector (type d) (module D : DETECTOR with type t = d) (create : unit -> d) name =
   let d = create () in
   {
     sk_name = name;
-    sk_config = Option.value config ~default:(Json.Obj [ ("detector", Json.Str name) ]);
     sk_tool = D.tool d;
     sk_occurrences = (fun () -> D.reports d);
     sk_locations = (fun () -> D.locations d);
@@ -110,10 +107,7 @@ let registry : (string * (string -> sink)) list =
     ("helgrind-hwlc+dr+hb", helgrind Helgrind.hwlc_dr_hb);
     ("eraser-pure", helgrind Helgrind.pure_eraser);
     ("djit", detector (module Djit) Djit.create);
-    ( "fasttrack",
-      detector (module Fasttrack)
-        ~config:(Fasttrack.config_to_json Fasttrack.default_config)
-        Fasttrack.create );
+    ("fasttrack", detector (module Fasttrack) Fasttrack.create);
     ("racetrack", detector (module Racetrack) Racetrack.create);
     ("hybrid", detector (module Hybrid) Hybrid.create);
     ("hybrid-epoch", detector (module Hybrid) (Hybrid.create ~config:Hybrid.epoch_config));
@@ -132,7 +126,7 @@ let sig_string (r : Report.t) =
   let kind, frames = Report.signature r in
   Report.kind_name kind ^ "@" ^ String.concat ";" (List.map Loc.to_string frames)
 
-(** MD5 over the sorted dedup signatures — the same digest the bench
+(** MD5 over the sorted dedup signatures — the same digest the tests'
     and chaos fidelity gates use. *)
 let digest_signatures locations =
   let lines = List.sort compare (List.map (fun (r, _) -> sig_string r) locations) in
@@ -207,7 +201,3 @@ let replay_config trace name =
   let s = sink name in
   Trace.Reader.replay trace [ s.sk_tool ];
   verdict_of_sink ~events:(Trace.Reader.length trace) s
-
-(** Sequential replay of several configurations (the parallel version
-    lives in [lib/core], on the work-stealing pool). *)
-let replay_all ?(configs = configs) trace = List.map (replay_config trace) configs

@@ -50,7 +50,6 @@ val replay : recorder -> Vm.Tool.t -> unit
 
 type sink = {
   sk_name : string;
-  sk_config : Json.t;  (** full configuration, echoed into JSON outputs *)
   sk_tool : Vm.Tool.t;
   sk_occurrences : unit -> Report.t list;
   sk_locations : unit -> (Report.t * int) list;
@@ -95,6 +94,3 @@ val replay_config : Trace.Reader.t -> string -> verdict
 (** Drive one named configuration over a decoded trace.  Fresh detector
     instance per call, no shared state — safe as a parallel cell. *)
 
-val replay_all : ?configs:string list -> Trace.Reader.t -> verdict list
-(** Sequential multi-config replay (the parallel fan-out lives in
-    [lib/core], on the work-stealing pool). *)

@@ -15,9 +15,9 @@
       [snapshot]/[diff] therefore sees exactly the work its own domain
       did — no cross-domain interference, no locks on the hot path —
       and per-cell snapshots combine with {!merge}.
-    - Runs happen back-to-back in one process (bench rows, the runner's
-      multi-config sweeps), so consumers need per-run deltas from
-      domain-global counters: [snapshot] + [diff].
+    - Runs happen back-to-back in one process (test and benchmark runs,
+      the runner's multi-config sweeps), so consumers need per-run
+      deltas from domain-global counters: [snapshot] + [diff].
     - Merging snapshots from independent runs must be associative and
       commutative so aggregation order can't change results (tested by
       qcheck in [test/test_obs.ml]): counters and histogram buckets

@@ -1,7 +1,7 @@
 (** Multicore cell pool: run a grid of independent deterministic cells
     across OCaml 5 domains with per-domain work-stealing deques.
 
-    Every matrix this repo runs — bench audits, the chaos matrix, the
+    Every matrix this repo runs — detector audits, the chaos matrix, the
     explain knob sweep, the static/dynamic cross-check — is an array of
     cells where cell [i]'s result depends only on cell [i]'s input
     (each cell builds its own VM/tool instances, and the few

@@ -190,8 +190,8 @@ let test_runs_deterministic () =
   in
   Alcotest.(check (list (pair string int))) "same seed, same counts" (counts ()) (counts ())
 
-(* experiment registry renders without exceptions (smoke over them all
-   is done by the bench harness; here we keep the cheap ones) *)
+(* experiment registry renders without exceptions (the cheap ones;
+   `raceguard-experiments run all` renders every one) *)
 let test_render_smoke () =
   List.iter
     (fun name ->

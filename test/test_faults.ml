@@ -77,6 +77,49 @@ let test_injector_off_is_noop () =
   Alcotest.(check int) "nothing counted" 0
     (Faults.Injector.total (Faults.Injector.counts inj))
 
+(* The fault-injection plane must cost nothing when its plan is empty:
+   an off injector wired into the transport, the proxy and the engine
+   may not change the schedule, the work done or the allocation.  T2
+   under HWLC+DR at seed 7, against the values a run without any
+   injector gives. *)
+let chaos_off_run injector =
+  let module R = Raceguard in
+  let events = ref 0 in
+  let count = Vm.Tool.of_fn "count" (fun _ -> incr events) in
+  let config =
+    {
+      R.Runner.default with
+      seed = 7;
+      helgrind_configs = [ ("HWLC+DR", Raceguard_detector.Helgrind.hwlc_dr) ];
+      server = { R.Runner.default.server with Sip.Proxy.faults = injector };
+      faults = injector;
+    }
+  in
+  let words0 = Gc.minor_words () in
+  let transport = Sip.Transport.create ?faults:injector () in
+  let res, _ =
+    R.Runner.run_main ~tools:[ count ] config
+      (Sip.Workload.run_test_case ~transport ~server_config:config.server Sip.Workload.t2)
+  in
+  let words = Gc.minor_words () -. words0 in
+  ( !events,
+    res.outcome.stats.ops_executed,
+    Raceguard_detector.Offline.digest_signatures (R.Runner.locations_of res "HWLC+DR"),
+    words )
+
+let test_injector_off_costs_nothing () =
+  ignore (chaos_off_run None) (* warm-up: lazy set-up is not the off path's cost *);
+  let events, ops, digest, words = chaos_off_run None in
+  let events', ops', digest', words' =
+    chaos_off_run (Some (Faults.Injector.create ~seed:7 ~plan:Faults.Plan.none))
+  in
+  Alcotest.(check int) "events (pinned)" 46416 events;
+  Alcotest.(check string) "sig digest (pinned)" "b8f03255198c2704fc96b9f117ac4627" digest;
+  Alcotest.(check int) "events with an off injector" events events';
+  Alcotest.(check int) "VM ops with an off injector" ops ops';
+  Alcotest.(check string) "sig digest with an off injector" digest digest';
+  Alcotest.(check (float 0.)) "minor words with an off injector" words words'
+
 let test_injector_deterministic_stream () =
   let drain seed =
     let plan = Option.get (Faults.Plan.lookup "mayhem") in
@@ -221,6 +264,8 @@ let suite =
       QCheck_alcotest.to_alcotest qc_backoff_deterministic;
       QCheck_alcotest.to_alcotest qc_corrupt_wire_pure;
       Alcotest.test_case "injector: empty plan is a no-op" `Quick test_injector_off_is_noop;
+      Alcotest.test_case "injector: off plan costs no event, op or word on T2" `Quick
+        test_injector_off_costs_nothing;
       Alcotest.test_case "injector: decision stream deterministic per seed" `Quick
         test_injector_deterministic_stream;
       Alcotest.test_case "timer wheel: cancel racing resend" `Quick test_timer_cancel_race;

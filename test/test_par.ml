@@ -1,13 +1,15 @@
 (* The work-stealing pool (lib/par/): deque linearizability against a
    sequential model, no lost or duplicated cells under real concurrent
    stealing, the map_cells ≡ Array.map contract, exception
-   propagation, --domains 0 resolution — and the determinism pin the
-   whole PR rests on: chaos and bench-style digests are byte-identical
-   for --domains 1/2/4 on seeds 7 and 42. *)
+   propagation, --domains 0 resolution — and the determinism pins:
+   chaos and detector-audit digests are byte-identical for --domains
+   1/2/4 on seeds 7 and 42, and the micro scenarios match committed
+   event counts and digests at 1 and 4 domains. *)
 
 module Par = Raceguard_par.Par
 module Deque = Raceguard_par.Deque
 module R = Raceguard
+module Vm = Raceguard_vm
 module Det = Raceguard_detector
 module Sip = Raceguard_sip
 
@@ -155,7 +157,7 @@ let stats_cover_cells () =
   Alcotest.(check bool) "steals within bounds" true
     (st.Par.st_steals >= 0 && st.Par.st_steals <= 16)
 
-(* --- determinism pins: chaos and bench digests --------------------- *)
+(* --- determinism pins: chaos and audit digests --------------------- *)
 
 (* a reduced chaos grid — 2 plans × T2 × both resilience settings —
    keeps the pin fast while still spreading cells across workers *)
@@ -183,16 +185,15 @@ let chaos_pin seed () =
         (chaos_digest config ~domains))
     [ 2; 4 ]
 
-(* bench-style audit digest: the same per-cell computation the bench
-   suite's audit pass does — run a workload under a fresh detector and
-   digest the sorted dedup signatures *)
+(* audit digest: run a workload under a fresh detector and digest the
+   sorted dedup signatures *)
 let audit_cell ~seed (tc, cfg) =
   let res =
     R.Runner.run_test_case { R.Runner.default with seed; helgrind_configs = [ ("cfg", cfg) ] } tc
   in
   Det.Offline.digest_signatures (R.Runner.locations_of res "cfg")
 
-let bench_audit_digests ~seed ~domains =
+let audit_digests ~seed ~domains =
   let cells =
     [| (Sip.Workload.t2, Det.Helgrind.original);
        (Sip.Workload.t2, Det.Helgrind.hwlc_dr);
@@ -201,15 +202,91 @@ let bench_audit_digests ~seed ~domains =
   in
   Par.map_cells ~domains (audit_cell ~seed) cells
 
-let bench_pin seed () =
-  let base = bench_audit_digests ~seed ~domains:1 in
+let audit_pin seed () =
+  let base = audit_digests ~seed ~domains:1 in
   List.iter
     (fun domains ->
       Alcotest.(check (array string))
         (Printf.sprintf "seed %d: audit digests at %d domains" seed domains)
         base
-        (bench_audit_digests ~seed ~domains))
+        (audit_digests ~seed ~domains))
     [ 2; 4 ]
+
+(* --- micro-scenario pins ---------------------------------------------- *)
+
+(* The three lock/read-sharing micro scenarios under no tool and nine
+   registry configurations (all but HWLC+DR+HB), seed 7: events and the
+   sorted-signature digest per cell, at 1 and 4 domains.  The empty
+   digest d41d8cd9... means no report. *)
+let micro_scenarios =
+  [
+    ("micro-contention", fun () -> R.Scenarios.high_contention ~iters:120 ());
+    ("micro-readshared", fun () -> R.Scenarios.read_shared ~iters:200 ());
+    ("micro-readchurn", fun () -> R.Scenarios.read_shared_churn ~rounds:3 ~iters:60 ());
+  ]
+
+let micro_pins =
+  [
+    ("micro-contention", "no-tool", 3871, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-contention", "helgrind-original", 3871, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-contention", "helgrind-hwlc", 3871, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-contention", "helgrind-hwlc+dr", 3871, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-contention", "eraser-pure", 3871, "c138b52b2c46915f232f5c49539ab545");
+    ("micro-contention", "djit", 3871, "3378840e3fd0467ade90b29394ed72c5");
+    ("micro-contention", "fasttrack", 3871, "3378840e3fd0467ade90b29394ed72c5");
+    ("micro-contention", "hybrid", 3871, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-contention", "hybrid-epoch", 3871, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-contention", "racetrack", 3871, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readshared", "no-tool", 835, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readshared", "helgrind-original", 835, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readshared", "helgrind-hwlc", 835, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readshared", "helgrind-hwlc+dr", 835, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readshared", "eraser-pure", 835, "f3a34d8192e5e31f3ec8b46b2e2380c5");
+    ("micro-readshared", "djit", 835, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readshared", "fasttrack", 835, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readshared", "hybrid", 835, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readshared", "hybrid-epoch", 835, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readshared", "racetrack", 835, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readchurn", "no-tool", 1555, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readchurn", "helgrind-original", 1555, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readchurn", "helgrind-hwlc", 1555, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readchurn", "helgrind-hwlc+dr", 1555, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readchurn", "eraser-pure", 1555, "ae22d088f6b5a0e6e2d079d625c4ca1c");
+    ("micro-readchurn", "djit", 1555, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readchurn", "fasttrack", 1555, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readchurn", "hybrid", 1555, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readchurn", "hybrid-epoch", 1555, "d41d8cd98f00b204e9800998ecf8427e");
+    ("micro-readchurn", "racetrack", 1555, "d41d8cd98f00b204e9800998ecf8427e");
+  ]
+
+(* One cell: the scenario with an event counter and, unless the subject
+   is "no-tool", a fresh registry sink attached. *)
+let micro_cell (scenario, subject, _, _) =
+  let events = ref 0 in
+  let sink = if subject = "no-tool" then None else Some (Det.Offline.sink subject) in
+  let tools =
+    Vm.Tool.of_fn "count" (fun _ -> incr events)
+    :: Option.to_list (Option.map (fun s -> s.Det.Offline.sk_tool) sink)
+  in
+  ignore
+    (R.Runner.run_main ~tools
+       { R.Runner.default with seed = 7; helgrind_configs = [] }
+       (List.assoc scenario micro_scenarios));
+  let locations = match sink with None -> [] | Some s -> s.Det.Offline.sk_locations () in
+  (!events, Det.Offline.digest_signatures locations)
+
+let micro_pinned () =
+  let cells = Array.of_list micro_pins in
+  List.iter
+    (fun domains ->
+      Array.iter2
+        (fun (scenario, subject, events, digest) got ->
+          Alcotest.(check (pair int string))
+            (Printf.sprintf "%s %s at %d domains" scenario subject domains)
+            (events, digest) got)
+        cells
+        (Par.map_cells ~domains micro_cell cells))
+    [ 1; 4 ]
 
 let suite =
   ( "par",
@@ -222,6 +299,8 @@ let suite =
       Alcotest.test_case "pool stats cover every cell" `Quick stats_cover_cells;
       Alcotest.test_case "chaos digest pin, seed 7" `Quick (chaos_pin 7);
       Alcotest.test_case "chaos digest pin, seed 42" `Quick (chaos_pin 42);
-      Alcotest.test_case "bench digest pin, seed 7" `Quick (bench_pin 7);
-      Alcotest.test_case "bench digest pin, seed 42" `Quick (bench_pin 42);
+      Alcotest.test_case "bench digest pin, seed 7" `Quick (audit_pin 7);
+      Alcotest.test_case "bench digest pin, seed 42" `Quick (audit_pin 42);
+      Alcotest.test_case "micro scenarios x 10 subjects pinned, domains 1/4" `Quick
+        micro_pinned;
     ] )

@@ -394,6 +394,90 @@ let test_scenario_chaos_fast_path_invariance () =
     (Raceguard.Chaos.matrix_digest r_fast)
     (Raceguard.Chaos.matrix_digest r_slow)
 
+(* --- registrar storm -------------------------------------------------- *)
+
+(* The sharded registrar driven directly, VM-scheduled at seed 7: 8
+   writer threads register 2,000 users onto a Resilient table sized to
+   double repeatedly under the load (initial 8 shards, grow_at 8, up to
+   64), then each reads back a quarter of its users while later growers
+   may still be migrating.  The AOR strings pick the shards, so the
+   pinned event count holds only for exactly these names. *)
+let storm_users = 2_000
+let storm_max_shards = 64
+
+let storm_run tools =
+  let reg = ref None in
+  let res, _ =
+    Raceguard.Runner.run_main ~tools
+      { Raceguard.Runner.default with seed = 7; helgrind_configs = [] }
+      (fun () ->
+        let r =
+          make_registrar
+            ~sharding:
+              (Registrar.Sharded
+                 {
+                   flavor = Registrar.Resilient;
+                   initial = 8;
+                   grow_at = 8;
+                   max_shards = storm_max_shards;
+                 })
+            ()
+        in
+        reg := Some r;
+        let workers = 8 in
+        let per = storm_users / workers in
+        let threads =
+          List.init workers (fun w ->
+              Api.spawn ~loc ~name:(Printf.sprintf "storm%d" w) (fun () ->
+                  for i = w * per to ((w + 1) * per) - 1 do
+                    ignore
+                      (Registrar.register r ~annotate:true
+                         ~aor:(Printf.sprintf "u%d@bench" i)
+                         ~contact:(Printf.sprintf "sip:c%d" i)
+                         ~cseq:1 ~expires:1_000_000)
+                  done;
+                  for i = w * per to (w * per) + (per / 4) - 1 do
+                    match Registrar.lookup r ~aor:(Printf.sprintf "u%d@bench" i) with
+                    | Some c -> Raceguard_cxxsim.Refstring.release c
+                    | None -> ()
+                  done))
+        in
+        List.iter (fun t -> Api.join ~loc t) threads;
+        ignore (Registrar.rebalance r))
+  in
+  let outcome = res.Raceguard.Runner.outcome in
+  Alcotest.(check int) "no thread raised" 0 (List.length outcome.failures);
+  Alcotest.(check bool) "no deadlock" true (outcome.deadlock = None);
+  Option.get !reg
+
+let test_registrar_storm () =
+  List.iter
+    (fun subject ->
+      let events = ref 0 in
+      let sink = Option.map Raceguard_detector.Offline.sink subject in
+      let tools =
+        Vm.Tool.of_fn "count" (fun _ -> incr events)
+        :: Option.to_list (Option.map (fun s -> s.Raceguard_detector.Offline.sk_tool) sink)
+      in
+      let r = storm_run tools in
+      let name = Option.value ~default:"no-tool" subject in
+      Alcotest.(check int) (name ^ ": events (pinned)") 219_147 !events;
+      Alcotest.(check (list string)) (name ^ ": audit clean") [] (Registrar.audit r);
+      (* bound_aors, not size: size takes the shard locks and needs VM
+         context; bound_aors reads the host mirrors *)
+      Alcotest.(check int) (name ^ ": every registration survived") storm_users
+        (List.length (Registrar.bound_aors r));
+      Alcotest.(check int) (name ^ ": shard ceiling reached") storm_max_shards
+        (Registrar.shard_count r);
+      Option.iter
+        (fun s ->
+          Alcotest.(check string) (name ^ ": sig digest (pinned, no report)")
+            "d41d8cd98f00b204e9800998ecf8427e"
+            (Raceguard_detector.Offline.digest_signatures
+               (s.Raceguard_detector.Offline.sk_locations ())))
+        sink)
+    [ None; Some "helgrind-hwlc+dr" ]
+
 let suite =
   ( "shards",
     [
@@ -413,6 +497,8 @@ let suite =
       QCheck_alcotest.to_alcotest qc_scenario_roundtrip;
       Alcotest.test_case "shipped scenarios round-trip through JSON" `Quick
         test_shipped_scenarios_roundtrip;
+      Alcotest.test_case "registrar storm: 2,000 users onto 64 shards, audit clean" `Quick
+        test_registrar_storm;
       Alcotest.test_case "chaos T9/T10: resilient clean, legacy violates" `Slow
         test_scenario_chaos_asymmetry;
       Alcotest.test_case "chaos T9/T10: digests invariant under domains" `Slow

@@ -9,7 +9,8 @@
    - corruption rejection: truncation anywhere, a flipped body byte
      (CRC), bad magics, wrong version byte are all decode errors;
    - recording determinism: the same (workload, seed) produces
-     byte-identical trace files;
+     byte-identical trace files, and attaching the recorder does not
+     move a live detector's digest;
    - the replay fidelity pin: for every SIP test case x seeds 7/42, all
      eight registry detector configurations replayed from the trace (at
      1 and 4 domains) produce verdicts byte-identical to the detectors
@@ -286,6 +287,27 @@ let test_recording_deterministic () =
   let c = Det.Offline.contents (R.Trace_ops.record_test ~seed:42 t4).rec_recorder in
   Alcotest.(check bool) "different seed => different trace" true (a <> c)
 
+(* The recorder is a pure observer: attaching it next to a live
+   detector must not move that detector's verdict. *)
+let test_recorder_is_invisible () =
+  let digest tools =
+    let res =
+      R.Runner.run_test_case ~tools
+        {
+          R.Runner.default with
+          seed = 7;
+          helgrind_configs = [ ("HWLC+DR", Det.Helgrind.hwlc_dr) ];
+        }
+        Sip.Workload.t2
+    in
+    Det.Offline.digest_signatures (R.Runner.locations_of res "HWLC+DR")
+  in
+  let recorder = Det.Offline.create_recorder () in
+  let recorded = digest [ Det.Offline.tool recorder ] in
+  Alcotest.(check bool) "the recorder saw the run" true (Det.Offline.length recorder > 0);
+  Alcotest.(check string) "T2 HWLC+DR sig digest with the recorder attached" (digest [])
+    recorded
+
 let test_trace_self_describing () =
   let r = R.Trace_ops.record_test ~seed:7 t4 in
   let t = decode_exn (Det.Offline.contents r.rec_recorder) in
@@ -523,6 +545,8 @@ let suite =
       Alcotest.test_case "corrupt containers rejected" `Quick test_corruption_rejected;
       Alcotest.test_case "monotonic clock enforced" `Quick test_monotonic_clock_enforced;
       Alcotest.test_case "recording is deterministic" `Slow test_recording_deterministic;
+      Alcotest.test_case "recorder leaves the live digest unchanged" `Quick
+        test_recorder_is_invisible;
       Alcotest.test_case "trace is self-describing" `Slow test_trace_self_describing;
       Alcotest.test_case "replay byte-identical to live (T1-T8 x 10 configs x 2 seeds)" `Slow
         test_replay_matches_live;
