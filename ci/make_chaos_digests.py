@@ -8,6 +8,10 @@ Usage:
 The output is the committed sequential digest pin: CI's par-smoke job
 asserts that a --domains N run of the same quick matrix reproduces
 every per-cell digest (and the matrix digest) byte-for-byte.
+
+Exits 1, writing nothing, when the report is not a raceguard-chaos/1
+document, has no cells, or does not say summary.passed: a pin taken
+from an empty or failing matrix would hold CI to nothing.
 """
 import json
 import sys
@@ -20,6 +24,13 @@ def main() -> int:
     x = json.load(open(sys.argv[1]))
     if x.get("schema") != "raceguard-chaos/1":
         print(f"unexpected schema {x.get('schema')!r}", file=sys.stderr)
+        return 1
+    if not x.get("cells"):
+        print("report has no cells: refusing to pin an empty matrix", file=sys.stderr)
+        return 1
+    if x.get("summary", {}).get("passed") is not True:
+        print("report does not say summary.passed: refusing to pin a failing matrix",
+              file=sys.stderr)
         return 1
     pin = {
         "schema": "raceguard-chaos-digests/1",

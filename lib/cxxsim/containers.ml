@@ -24,7 +24,7 @@ module Vector = struct
   let hdr_cap = 1
   let hdr_data = 2
 
-  let lc func line = Loc.v "stl_vector.h" ("std::vector::" ^ func) line
+  let lc = Loc.site "stl_vector.h" "std::vector::"
 
   let create alloc =
     let hdr = Api.alloc ~loc:(lc "vector" 100) 3 in
@@ -81,7 +81,7 @@ module Map = struct
   type t = { hdr : int; alloc : Allocator.t }
 
   let node_size = 3
-  let lc func line = Loc.v "stl_map.h" ("std::map::" ^ func) line
+  let lc = Loc.site "stl_map.h" "std::map::"
 
   let create alloc =
     let hdr = Api.alloc ~loc:(lc "map" 200) 2 in

@@ -23,7 +23,7 @@ let rep_refcount = 0
 let rep_length = 1
 let rep_chars = 2
 
-let lc func line = Loc.v "basic_string.h" ("std::string::" ^ func) line
+let lc = Loc.site "basic_string.h" "std::string::"
 
 (** [_Rep::_S_create]: allocate a representation holding [s]. *)
 let create ~loc:_ s =

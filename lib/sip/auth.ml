@@ -13,7 +13,7 @@ module Obj_model = Raceguard_cxxsim.Object_model
 module Refstring = Raceguard_cxxsim.Refstring
 module Containers = Raceguard_cxxsim.Containers
 
-let lc func line = Loc.v "auth.cpp" ("NonceCache::" ^ func) line
+let lc = Loc.site "auth.cpp" "NonceCache::"
 
 (* class Token { int issued_at; int uses; }
    class Nonce : Token { RefString user; int value; } *)

@@ -12,7 +12,7 @@ module Obj_model = Raceguard_cxxsim.Object_model
 module Refstring = Raceguard_cxxsim.Refstring
 module Containers = Raceguard_cxxsim.Containers
 
-let lc func line = Loc.v "dialogs.cpp" ("DialogTable::" ^ func) line
+let lc = Loc.site "dialogs.cpp" "DialogTable::"
 
 (* class Transaction { RefString call_id; int state; int cseq; }
    class ClientTransaction : Transaction { RefString branch; int retransmits; }

@@ -25,7 +25,7 @@ module Obj_model = Raceguard_cxxsim.Object_model
 module Refstring = Raceguard_cxxsim.Refstring
 module Containers = Raceguard_cxxsim.Containers
 
-let lc func line = Loc.v "domain_data.cpp" ("ServerModulesManagerImpl::" ^ func) line
+let lc = Loc.site "domain_data.cpp" "ServerModulesManagerImpl::"
 
 let m_reload_oom =
   Raceguard_obs.Metrics.counter "sip.resilience.reload_alloc_recovered"

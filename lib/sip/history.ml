@@ -17,7 +17,7 @@ module Api = Raceguard_vm.Api
 module Obj_model = Raceguard_cxxsim.Object_model
 module Refstring = Raceguard_cxxsim.Refstring
 
-let lc func line = Loc.v "history.cpp" ("RequestHistory::" ^ func) line
+let lc = Loc.site "history.cpp" "RequestHistory::"
 
 (* class Digest { int timestamp; int src_id; }
    class StampedDigest : Digest { int seq; int flags; }

@@ -15,7 +15,7 @@ module Msg_queue = Raceguard_vm.Msg_queue
 module Obj_model = Raceguard_cxxsim.Object_model
 module Refstring = Raceguard_cxxsim.Refstring
 
-let lc func line = Loc.v "logger.cpp" ("Logger::" ^ func) line
+let lc = Loc.site "logger.cpp" "Logger::"
 
 (* class Record { int timestamp; int level; }
    class LogRecord : Record { RefString text; int processed; } *)

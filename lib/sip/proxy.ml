@@ -38,7 +38,7 @@ module Refstring = Raceguard_cxxsim.Refstring
 module Allocator = Raceguard_cxxsim.Allocator
 module Metrics = Raceguard_obs.Metrics
 
-let lc func line = Loc.v "proxy.cpp" ("SipProxy::" ^ func) line
+let lc = Loc.site "proxy.cpp" "SipProxy::"
 
 let m_shed = Metrics.counter "sip.resilience.shed"
 let m_deadline_dropped = Metrics.counter "sip.resilience.deadline_dropped"

@@ -52,7 +52,7 @@ module Containers = Raceguard_cxxsim.Containers
 module Allocator = Raceguard_cxxsim.Allocator
 module Metrics = Raceguard_obs.Metrics
 
-let lc func line = Loc.v "registrar.cpp" ("Registrar::" ^ func) line
+let lc = Loc.site "registrar.cpp" "Registrar::"
 
 (* class Binding { RefString aor; int expires_at; }
    class ContactBinding : Binding { RefString contact, user_agent; int cseq; int q_value; } *)

@@ -19,7 +19,7 @@ module Loc = Raceguard_util.Loc
 module Api = Raceguard_vm.Api
 module Refstring = Raceguard_cxxsim.Refstring
 
-let lc func line = Loc.v "routing.cpp" ("RouteTable::" ^ func) line
+let lc = Loc.site "routing.cpp" "RouteTable::"
 
 let max_routes = 8
 

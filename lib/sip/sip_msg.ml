@@ -134,13 +134,13 @@ let sip_response =
 
 exception Parse_error of string
 
-let parse_loc line = Loc.v "parser.cpp" "SipParser::parse" line
+let parse_loc = Loc.v "parser.cpp" "SipParser::parse" 100
 
 (** Parse a received buffer into a host-side view, reading every byte
     through the VM in the calling (worker) thread's context. *)
 let parse_request buf len =
   let text =
-    String.init len (fun i -> Char.chr (Api.read ~loc:(parse_loc 100) (buf + i) land 0xff))
+    String.init len (fun i -> Char.chr (Api.read ~loc:parse_loc (buf + i) land 0xff))
   in
   let lines = String.split_on_char '\n' text |> List.map String.trim in
   match lines with

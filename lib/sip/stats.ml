@@ -9,7 +9,7 @@ module Loc = Raceguard_util.Loc
 module Api = Raceguard_vm.Api
 module Metrics = Raceguard_obs.Metrics
 
-let lc func line = Loc.v "stats.cpp" ("Stats::" ^ func) line
+let lc = Loc.site "stats.cpp" "Stats::"
 
 type t = {
   base : int;  (** block of counter words *)

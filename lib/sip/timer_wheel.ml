@@ -19,7 +19,7 @@ module Api = Raceguard_vm.Api
 module Obj_model = Raceguard_cxxsim.Object_model
 module Metrics = Raceguard_obs.Metrics
 
-let lc func line = Loc.v "timer_wheel.cpp" ("TimerWheel::" ^ func) line
+let lc = Loc.site "timer_wheel.cpp" "TimerWheel::"
 
 let m_resend = Metrics.counter "sip.resilience.timer_resend"
 let m_cancelled = Metrics.counter "sip.resilience.timer_cancelled"

@@ -9,7 +9,7 @@
 module Loc = Raceguard_util.Loc
 module Api = Raceguard_vm.Api
 
-let lc func line = Loc.v "time.c" func line
+let lc = Loc.site "time.c" ""
 
 type t = { static_buf : int }
 

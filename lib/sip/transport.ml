@@ -23,7 +23,7 @@ module Api = Raceguard_vm.Api
 module Metrics = Raceguard_obs.Metrics
 module Injector = Raceguard_faults.Injector
 
-let lc func line = Loc.v "transport.cpp" func line
+let lc = Loc.site "transport.cpp" ""
 
 let m_unroutable = Metrics.counter "sip.transport.dropped_unroutable"
 let m_fault_dropped = Metrics.counter "sip.transport.dropped_fault"

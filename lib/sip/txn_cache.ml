@@ -4,7 +4,7 @@ module Obj_model = Raceguard_cxxsim.Object_model
 module Containers = Raceguard_cxxsim.Containers
 module Metrics = Raceguard_obs.Metrics
 
-let lc func line = Loc.v "txn_cache.cpp" ("TxnCache::" ^ func) line
+let lc = Loc.site "txn_cache.cpp" "TxnCache::"
 
 let m_hits = Metrics.counter "sip.resilience.retransmit_absorbed"
 

@@ -14,7 +14,7 @@
 module Loc = Raceguard_util.Loc
 module Api = Raceguard_vm.Api
 
-let lc func line = Loc.v "lock_watch.cpp" ("LockWatch::" ^ func) line
+let lc = Loc.site "lock_watch.cpp" "LockWatch::"
 
 let max_slots = 64
 

@@ -14,7 +14,7 @@
 module Loc = Raceguard_util.Loc
 module Api = Raceguard_vm.Api
 
-let lc func line = Loc.v "sipp_driver.cpp" func line
+let lc = Loc.site "sipp_driver.cpp" ""
 
 type driver = {
   d_name : string;

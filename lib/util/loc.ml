@@ -13,6 +13,39 @@ let v file func line = { file; func; line }
 
 let unknown = { file = "<unknown>"; func = "<unknown>"; line = 0 }
 
+(* A site's per-domain table: by line, then the few functions of the
+   file that share that line.  Function names are usually the same
+   string literal at every call, so [==] settles most probes; no hash
+   runs and a hit allocates nothing. *)
+type site_table = { mutable by_line : (string * t) list array }
+
+let max_site_line = 1 lsl 16
+
+let rec site_find func = function
+  | [] -> unknown
+  | (f, loc) :: rest -> if f == func || String.equal f func then loc else site_find func rest
+
+let site file prefix =
+  let key = Domain.DLS.new_key (fun () -> { by_line = [||] }) in
+  fun func line ->
+    if line < 0 || line >= max_site_line then v file (prefix ^ func) line
+    else
+      let tbl = Domain.DLS.get key in
+      let n = Array.length tbl.by_line in
+      let here = if line < n then Array.unsafe_get tbl.by_line line else [] in
+      let found = site_find func here in
+      if found != unknown then found
+      else begin
+        let loc = v file (prefix ^ func) line in
+        if line >= n then begin
+          let a = Array.make (min max_site_line (max (line + 1) (2 * n))) [] in
+          Array.blit tbl.by_line 0 a 0 n;
+          tbl.by_line <- a
+        end;
+        tbl.by_line.(line) <- (func, loc) :: here;
+        loc
+      end
+
 let file t = t.file
 let func t = t.func
 let line t = t.line

@@ -11,6 +11,15 @@ val make : file:string -> func:string -> line:int -> t
 val v : string -> string -> int -> t
 (** [v file func line]. *)
 
+val site : string -> string -> string -> int -> t
+(** [site file prefix] is a call-site constructor for one source file:
+    [site file prefix func line] equals [v file (prefix ^ func) line].
+    Each (func, line) is built once per domain and then returned from
+    a table indexed by [line] and searched by [func] ([==] first), so a
+    hit allocates nothing and hashes nothing.  Apply it once per file
+    ([let lc = Loc.site "proxy.cpp" "SipProxy::"]) so every call shares
+    the table; lines outside [\[0, 65536)] are built fresh each call. *)
+
 val unknown : t
 
 val file : t -> string

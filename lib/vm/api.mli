@@ -8,6 +8,13 @@
     the granularity at which the serialised execution can interleave
     threads, as under Valgrind.
 
+    Underneath, a call writes its op code and operands into the calling
+    domain's {!Eff.slots} and performs the one constant {!Eff.Step}
+    effect; the engine answers with an int that the call converts
+    ([unit] is 0, [bool] is 0/1).  A call allocates nothing of its own:
+    the round trip costs the continuation and the engine's 2-word wake
+    record.
+
     All functions taking [~loc] record the (pseudo) source position for
     race reports; use {!with_frame} to maintain the simulated call
     stack that reports print.  Calling any of these outside

@@ -1,8 +1,16 @@
-(** The VM instruction set, exposed as an OCaml effect.
+(** The VM instruction set, exposed as one OCaml effect.
 
-    A simulated thread is an ordinary OCaml closure that [perform]s
-    {!Do} effects; the scheduler in {!Engine} interprets them.  This
-    mirrors Valgrind's architecture: the "binary" runs on a virtual
+    A simulated thread is an ordinary OCaml closure that calls {!Api};
+    each call writes an op code and its operands into this domain's
+    {!slots} record and performs the constant {!Step} effect, and the
+    scheduler in {!Engine} reads the slots back and interprets the op.
+    Every op answers with an int ([unit] is 0, [bool] is 0/1), so one
+    effect of type [int Effect.t] serves the whole instruction set and
+    a round trip allocates only the continuation and the engine's wake
+    record: no payload record, no per-effect handler closure, no
+    [Some].
+
+    This mirrors Valgrind's architecture: the "binary" runs on a virtual
     machine that observes every memory access and every call into the
     threading library, serialising all threads onto a single carrier
     thread ({i "the virtual machine in itself is single-threaded"},
@@ -37,40 +45,76 @@ type client_request =
           visible to the thread-segment graph. *)
   | Happens_after of { tag : int }  (** [ANNOTATE_HAPPENS_AFTER] *)
 
-type 'a op =
-  | Read : { addr : int; loc : Loc.t } -> int op
-  | Write : { addr : int; value : int; loc : Loc.t } -> unit op
-  | Atomic_rmw : { addr : int; f : int -> int; loc : Loc.t } -> int op
-      (** Bus-locked read-modify-write ([LOCK]-prefixed instruction);
-          returns the {e old} value. *)
-  | Alloc : { len : int; loc : Loc.t } -> int op
-  | Free : { addr : int; loc : Loc.t } -> unit op
-  | Spawn : { name : string; body : unit -> unit; loc : Loc.t } -> int op
-  | Join : { tid : int; loc : Loc.t } -> unit op
-  | Mutex_create : { name : string; loc : Loc.t } -> int op
-  | Mutex_lock : { m : int; loc : Loc.t } -> unit op
-  | Mutex_trylock : { m : int; loc : Loc.t } -> bool op
-  | Mutex_unlock : { m : int; loc : Loc.t } -> unit op
-  | Rwlock_create : { name : string; loc : Loc.t } -> int op
-  | Rwlock_lock : { rw : int; mode : mode; loc : Loc.t } -> unit op
-  | Rwlock_unlock : { rw : int; loc : Loc.t } -> unit op
-  | Cond_create : { name : string; loc : Loc.t } -> int op
-  | Cond_wait : { cv : int; m : int; loc : Loc.t } -> unit op
-  | Cond_signal : { cv : int; loc : Loc.t } -> unit op
-  | Cond_broadcast : { cv : int; loc : Loc.t } -> unit op
-  | Sem_create : { name : string; init : int; loc : Loc.t } -> int op
-  | Sem_wait : { s : int; loc : Loc.t } -> unit op
-  | Sem_post : { s : int; loc : Loc.t } -> unit op
-  | Client : client_request -> unit op
-  | Yield : unit op
-  | Sleep : int -> unit op  (** block for [n] virtual clock ticks *)
-  | Now : int op  (** current virtual clock *)
-  | Self : int op  (** calling thread's id *)
-  | Push_frame : Loc.t -> unit op
-  | Pop_frame : unit op
-  | Random_int : int -> int op
-      (** deterministic per-run randomness drawn from the VM seed *)
+(** Op codes.  The operands each op reads from {!slots} are listed by
+    the op; the result it resumes with follows the arrow. *)
+type op =
+  | Read  (** [arg] addr, [loc] -> value *)
+  | Write  (** [arg] addr, [arg2] value, [loc] *)
+  | Atomic_rmw
+      (** [arg] addr, [f], [loc] -> old value.  Bus-locked
+          read-modify-write ([LOCK]-prefixed instruction). *)
+  | Alloc  (** [arg] len, [loc] -> base address *)
+  | Free  (** [arg] addr, [loc] *)
+  | Spawn  (** [name], [body], [loc] -> tid *)
+  | Join  (** [arg] tid, [loc] *)
+  | Mutex_create  (** [name], [loc] -> id *)
+  | Mutex_lock  (** [arg] mutex, [loc] *)
+  | Mutex_trylock  (** [arg] mutex, [loc] -> 1 if acquired, else 0 *)
+  | Mutex_unlock  (** [arg] mutex, [loc] *)
+  | Rwlock_create  (** [name], [loc] -> id *)
+  | Rwlock_lock  (** [arg] rwlock, [mode], [loc] *)
+  | Rwlock_unlock  (** [arg] rwlock, [loc] *)
+  | Cond_create  (** [name], [loc] -> id *)
+  | Cond_wait  (** [arg] cv, [arg2] mutex, [loc] *)
+  | Cond_signal  (** [arg] cv, [loc] *)
+  | Cond_broadcast  (** [arg] cv, [loc] *)
+  | Sem_create  (** [name], [arg] initial count, [loc] -> id *)
+  | Sem_wait  (** [arg] semaphore, [loc] *)
+  | Sem_post  (** [arg] semaphore, [loc] *)
+  | Client  (** [req] *)
+  | Yield
+  | Sleep  (** [arg] ticks: block for that many virtual clock ticks *)
+  | Now  (** -> current virtual clock *)
+  | Self  (** -> calling thread's id *)
+  | Push_frame  (** [loc] *)
+  | Pop_frame
+  | Random_int
+      (** [arg] bound -> deterministic per-run randomness drawn from
+          the VM seed *)
 
-type _ Effect.t += Do : 'a op -> 'a Effect.t
+(** One op in flight.  Slots are per domain, because chaos runs VMs on
+    several domains at once; within a domain nothing runs between an
+    {!Api} call's slot writes and its [perform], and the engine reads
+    the slots before anything else runs. *)
+type slots = {
+  mutable op : op;
+  mutable arg : int;
+  mutable arg2 : int;
+  mutable loc : Loc.t;
+  mutable mode : mode;
+  mutable f : int -> int;
+  mutable body : unit -> unit;
+  mutable name : string;
+  mutable req : client_request;
+}
 
-let perform op = Effect.perform (Do op)
+let no_body () = ()
+
+let slots_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        op = Yield;
+        arg = 0;
+        arg2 = 0;
+        loc = Loc.unknown;
+        mode = Write_mode;
+        f = Fun.id;
+        body = no_body;
+        name = "";
+        req = Happens_before { tag = 0 };
+      })
+
+(** The calling domain's slots. *)
+let slots () = Domain.DLS.get slots_key [@@inline]
+
+type _ Effect.t += Step : int Effect.t

@@ -81,9 +81,11 @@ let default_config =
 
 type wake =
   | No_wake  (** no pending resumption: the thread is fresh, running or done *)
-  | Wake : ('a, unit) Effect.Deep.continuation * (unit -> 'a) -> wake
-  | Wake_v : ('a, unit) Effect.Deep.continuation * 'a -> wake
-      (** plain-value resume: the common case, no thunk allocation *)
+  | Wake of (int, unit) Effect.Deep.continuation
+      (** resume with the thread's [wake_v]: every op answers an int *)
+  | Wake_cond_post of { k : (int, unit) Effect.Deep.continuation; cv : int; m : int; loc : Loc.t }
+      (** a signalled condition waiter that had to queue for its mutex:
+          emit its [E_cond_wait_post] when it runs, then resume with 0 *)
 
 type block_reason =
   | On_mutex of int
@@ -106,6 +108,7 @@ type thread = {
   parent : int option;
   mutable status : status;
   mutable wake : wake;
+  mutable wake_v : int;
   mutable frames : Loc.t list;
   mutable failure : exn option;
   mutable join_waiters : int list;
@@ -119,14 +122,14 @@ type thread = {
 type mutex_obj = {
   m_id : int;
   m_name : string;
-  mutable m_owner : int option;
+  mutable m_owner : int;  (** owning tid, or -1 when free *)
   m_waiters : int Queue.t;
 }
 
 type rwlock_obj = {
   rw_id : int;
   rw_name : string;
-  mutable rw_writer : int option;
+  mutable rw_writer : int;  (** writing tid, or -1 when none *)
   mutable rw_readers : int list;
   rw_waiters : (int * mode) Queue.t;
 }
@@ -230,6 +233,7 @@ let dummy_thread =
     parent = None;
     status = Done;
     wake = No_wake;
+    wake_v = 0;
     frames = [];
     failure = None;
     join_waiters = [];
@@ -243,10 +247,10 @@ let create ?(config = default_config) () =
     memory = Memory.create ();
     threads = Growvec.create ~dummy:dummy_thread;
     mutexes =
-      Growvec.create ~dummy:{ m_id = -1; m_name = ""; m_owner = None; m_waiters = Queue.create () };
+      Growvec.create ~dummy:{ m_id = -1; m_name = ""; m_owner = -1; m_waiters = Queue.create () };
     rwlocks =
       Growvec.create
-        ~dummy:{ rw_id = -1; rw_name = ""; rw_writer = None; rw_readers = []; rw_waiters = Queue.create () };
+        ~dummy:{ rw_id = -1; rw_name = ""; rw_writer = -1; rw_readers = []; rw_waiters = Queue.create () };
     conds = Growvec.create ~dummy:{ cv_id = -1; cv_name = ""; cv_waiters = Queue.create () };
     sems = Growvec.create ~dummy:{ sem_id = -1; sem_name = ""; sem_count = 0; sem_waiters = Queue.create () };
     ready = [||];
@@ -360,30 +364,28 @@ let pick_ready t =
 
 (* --- waking helpers ---------------------------------------------- *)
 
-let resume_with (th : thread) (v : unit -> 'a) (k : ('a, unit) Effect.Deep.continuation) =
-  th.wake <- Wake (k, v)
-
-let resume_value (th : thread) (v : 'a) (k : ('a, unit) Effect.Deep.continuation) =
-  th.wake <- Wake_v (k, v)
+let resume_value (th : thread) v k =
+  th.wake <- Wake k;
+  th.wake_v <- v
 
 (* Grant a mutex to a waiting thread and make it runnable.  The
    acquire event is emitted at grant time: that is the moment the
    acquisition semantically happens. *)
 let grant_mutex t (m : mutex_obj) tid ~loc =
-  m.m_owner <- Some tid;
+  m.m_owner <- tid;
   emit t (Event.E_acquire { tid; lock = Event.Mutex m.m_id; mode = Write_mode; loc });
   enqueue_ready t tid
 
 let rec rwlock_grant_waiters t (rw : rwlock_obj) ~loc =
   (* FIFO with reader batching: grant the head; if it is a reader, keep
      granting readers until a writer is at the head. *)
-  if (not (Queue.is_empty rw.rw_waiters)) && rw.rw_writer = None then begin
+  if (not (Queue.is_empty rw.rw_waiters)) && rw.rw_writer < 0 then begin
     let tid, mode = Queue.peek rw.rw_waiters in
     match mode with
     | Write_mode ->
         if rw.rw_readers = [] then begin
           ignore (Queue.pop rw.rw_waiters);
-          rw.rw_writer <- Some tid;
+          rw.rw_writer <- tid;
           emit t (Event.E_acquire { tid; lock = Event.Rwlock rw.rw_id; mode = Write_mode; loc });
           enqueue_ready t tid
         end
@@ -397,9 +399,9 @@ let rec rwlock_grant_waiters t (rw : rwlock_obj) ~loc =
 
 (* Full mutex unlock path shared by Mutex_unlock and Cond_wait. *)
 let do_mutex_unlock t th (m : mutex_obj) ~loc =
-  if m.m_owner <> Some th.tid then
+  if m.m_owner <> th.tid then
     raise (Misuse (Fmt.str "thread %d unlocks mutex %S it does not hold" th.tid m.m_name));
-  m.m_owner <- None;
+  m.m_owner <- -1;
   emit t (Event.E_release { tid = th.tid; lock = Event.Mutex m.m_id; loc });
   if not (Queue.is_empty m.m_waiters) then begin
     let w = Queue.pop m.m_waiters in
@@ -412,11 +414,11 @@ let describe_wait t = function
   | On_mutex m ->
       let mu = Growvec.get t.mutexes m in
       Fmt.str "mutex %S (held by %s)" mu.m_name
-        (match mu.m_owner with Some o -> Fmt.str "thread %d" o | None -> "nobody")
+        (if mu.m_owner >= 0 then Fmt.str "thread %d" mu.m_owner else "nobody")
   | On_rwlock (rw, mode) ->
       let r = Growvec.get t.rwlocks rw in
       Fmt.str "rwlock %S in %a mode (writer=%s, readers=%d)" r.rw_name Eff.pp_mode mode
-        (match r.rw_writer with Some o -> Fmt.str "t%d" o | None -> "none")
+        (if r.rw_writer >= 0 then Fmt.str "t%d" r.rw_writer else "none")
         (List.length r.rw_readers)
   | On_cond (cv, _) -> Fmt.str "condition %S (no signal pending)" (Growvec.get t.conds cv).cv_name
   | On_sem s -> Fmt.str "semaphore %S" (Growvec.get t.sems s).sem_name
@@ -427,12 +429,13 @@ let describe_wait t = function
    owner for mutex/rwlock-writer/join; none for cond/sem). *)
 let waiting_on_thread t reason =
   match reason with
-  | On_mutex m -> (Growvec.get t.mutexes m).m_owner
+  | On_mutex m ->
+      let o = (Growvec.get t.mutexes m).m_owner in
+      if o >= 0 then Some o else None
   | On_rwlock (rw, _) -> (
       let r = Growvec.get t.rwlocks rw in
-      match r.rw_writer with
-      | Some w -> Some w
-      | None -> ( match r.rw_readers with [ x ] -> Some x | _ -> None))
+      if r.rw_writer >= 0 then Some r.rw_writer
+      else match r.rw_readers with [ x ] -> Some x | _ -> None)
   | On_join tid -> Some tid
   | On_cond _ | On_sem _ | On_sleep _ -> None
 
@@ -485,31 +488,39 @@ let reschedule_self t th v k =
   resume_value th v k;
   enqueue_ready t th.tid
 
-(* Interpret one operation performed by thread [th].  Must either make
+(* Park [th] in a wait queue; whoever wakes it resumes it with 0. *)
+let block th reason k =
+  th.status <- Blocked reason;
+  resume_value th 0 k
+
+(* Interpret the op in [s] performed by thread [th].  Must either make
    [th] runnable again (with a wake) or leave it blocked in some wait
-   queue. *)
-let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continuation -> unit =
- fun t th op k ->
+   queue.  Every operand is read from [s] before anything can run
+   another fiber on this domain. *)
+let rec handle_op t (th : thread) (s : slots) (k : (int, unit) Effect.Deep.continuation) =
   t.ops <- t.ops + 1;
   th.ops <- th.ops + 1;
   t.clock <- t.clock + 1;
   if t.ops > t.config.max_ops then raise Too_many_ops;
-  match op with
-  | Read { addr; loc } ->
+  match s.op with
+  | Read ->
+      let addr = s.arg in
       let value = Memory.get t.memory addr in
-      if t.observed then emit t (Event.E_read { tid = th.tid; addr; value; atomic = false; loc })
+      if t.observed then emit t (Event.E_read { tid = th.tid; addr; value; atomic = false; loc = s.loc })
       else Metrics.incr m_events;
       reschedule_self t th value k
-  | Write { addr; value; loc } ->
+  | Write ->
+      let addr = s.arg and value = s.arg2 in
       Memory.set t.memory addr value;
-      if t.observed then emit t (Event.E_write { tid = th.tid; addr; value; atomic = false; loc })
+      if t.observed then emit t (Event.E_write { tid = th.tid; addr; value; atomic = false; loc = s.loc })
       else Metrics.incr m_events;
-      reschedule_self t th () k
-  | Atomic_rmw { addr; f; loc } ->
+      reschedule_self t th 0 k
+  | Atomic_rmw ->
       (* one LOCK-prefixed instruction: an atomic load followed by an
          atomic store, indivisible (no scheduling point in between) *)
+      let addr = s.arg and loc = s.loc in
       let old = Memory.get t.memory addr in
-      let value = f old in
+      let value = s.f old in
       Memory.set t.memory addr value;
       if t.observed then begin
         emit t (Event.E_read { tid = th.tid; addr; value = old; atomic = true; loc });
@@ -517,15 +528,20 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
       end
       else Metrics.add m_events 2;
       reschedule_self t th old k
-  | Alloc { len; loc } ->
+  | Alloc ->
+      let len = s.arg and loc = s.loc in
       let addr = Memory.alloc t.memory ~tid:th.tid ~loc ~stack:th.frames ~len in
       emit t (Event.E_alloc { tid = th.tid; addr; len; loc });
       reschedule_self t th addr k
-  | Free { addr; loc } ->
+  | Free ->
+      let addr = s.arg in
       let len = Memory.free t.memory ~addr in
-      emit t (Event.E_free { tid = th.tid; addr; len; loc });
-      reschedule_self t th () k
-  | Spawn { name; body; loc } ->
+      emit t (Event.E_free { tid = th.tid; addr; len; loc = s.loc });
+      reschedule_self t th 0 k
+  | Spawn ->
+      let name = s.name and body = s.body and loc = s.loc in
+      (* the slot must not keep the body (and what it captures) alive *)
+      s.body <- no_body;
       let child =
         {
           tid = Growvec.length t.threads;
@@ -533,6 +549,7 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
           parent = Some th.tid;
           status = Fresh body;
           wake = No_wake;
+          wake_v = 0;
           frames = [ loc ];
           failure = None;
           join_waiters = [];
@@ -548,208 +565,197 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
       if spawn_delay = 0 then enqueue_ready t child.tid
       else t.delayed_fresh <- (child.tid, t.clock + spawn_delay) :: t.delayed_fresh;
       reschedule_self t th child.tid k
-  | Join { tid; loc } ->
+  | Join ->
+      let tid = s.arg in
       if tid < 0 || tid >= Growvec.length t.threads then
         raise (Misuse (Fmt.str "join of unknown thread %d" tid));
       let target = thread t tid in
       if target.status = Done then begin
-        emit t (Event.E_join { joiner = th.tid; joined = tid; loc });
-        reschedule_self t th () k
+        emit t (Event.E_join { joiner = th.tid; joined = tid; loc = s.loc });
+        reschedule_self t th 0 k
       end
       else begin
         target.join_waiters <- (th.tid :: target.join_waiters);
-        th.status <- Blocked (On_join tid);
-        resume_with th (fun () -> ()) k
+        block th (On_join tid) k
       end
-  | Mutex_create { name; loc } ->
-      let m = { m_id = Growvec.length t.mutexes; m_name = name; m_owner = None; m_waiters = Queue.create () } in
+  | Mutex_create ->
+      let name = s.name in
+      let m = { m_id = Growvec.length t.mutexes; m_name = name; m_owner = -1; m_waiters = Queue.create () } in
       ignore (Growvec.push t.mutexes m);
-      emit t (Event.E_sync_create { tid = th.tid; sync = Event.Mutex m.m_id; name; loc });
+      emit t (Event.E_sync_create { tid = th.tid; sync = Event.Mutex m.m_id; name; loc = s.loc });
       reschedule_self t th m.m_id k
-  | Mutex_lock { m; loc } -> (
+  | Mutex_lock ->
+      let m = s.arg in
       let mu = Growvec.get t.mutexes m in
-      match mu.m_owner with
-      | None ->
-          mu.m_owner <- Some th.tid;
-          emit t (Event.E_acquire { tid = th.tid; lock = Event.Mutex m; mode = Write_mode; loc });
-          let lock_delay =
-            match t.config.faults with Some inj -> Injector.lock_delay inj | None -> 0
-          in
-          if lock_delay = 0 then reschedule_self t th () k
-          else begin
-            (* slow-acquire fault: the lock is held from this moment
-               (contention builds behind it) but the owner stalls
-               before proceeding *)
-            resume_value th () k;
-            th.status <- Blocked (On_sleep (t.clock + lock_delay))
-          end
-      | Some owner when owner = th.tid ->
-          raise (Misuse (Fmt.str "thread %d relocks non-recursive mutex %S" th.tid mu.m_name))
-      | Some _ ->
-          Queue.push th.tid mu.m_waiters;
-          th.status <- Blocked (On_mutex m);
-          resume_with th (fun () -> ()) k)
-  | Mutex_trylock { m; loc } -> (
+      if mu.m_owner < 0 then begin
+        mu.m_owner <- th.tid;
+        emit t (Event.E_acquire { tid = th.tid; lock = Event.Mutex m; mode = Write_mode; loc = s.loc });
+        let lock_delay =
+          match t.config.faults with Some inj -> Injector.lock_delay inj | None -> 0
+        in
+        if lock_delay = 0 then reschedule_self t th 0 k
+        else
+          (* slow-acquire fault: the lock is held from this moment
+             (contention builds behind it) but the owner stalls before
+             proceeding *)
+          block th (On_sleep (t.clock + lock_delay)) k
+      end
+      else if mu.m_owner = th.tid then
+        raise (Misuse (Fmt.str "thread %d relocks non-recursive mutex %S" th.tid mu.m_name))
+      else begin
+        Queue.push th.tid mu.m_waiters;
+        block th (On_mutex m) k
+      end
+  | Mutex_trylock ->
+      let m = s.arg in
       let mu = Growvec.get t.mutexes m in
-      match mu.m_owner with
-      | None ->
-          mu.m_owner <- Some th.tid;
-          emit t (Event.E_acquire { tid = th.tid; lock = Event.Mutex m; mode = Write_mode; loc });
-          reschedule_self t th true k
-      | Some _ -> reschedule_self t th false k)
-  | Mutex_unlock { m; loc } ->
-      let mu = Growvec.get t.mutexes m in
-      do_mutex_unlock t th mu ~loc;
-      reschedule_self t th () k
-  | Rwlock_create { name; loc } ->
+      if mu.m_owner < 0 then begin
+        mu.m_owner <- th.tid;
+        emit t (Event.E_acquire { tid = th.tid; lock = Event.Mutex m; mode = Write_mode; loc = s.loc });
+        reschedule_self t th 1 k
+      end
+      else reschedule_self t th 0 k
+  | Mutex_unlock ->
+      let mu = Growvec.get t.mutexes s.arg in
+      do_mutex_unlock t th mu ~loc:s.loc;
+      reschedule_self t th 0 k
+  | Rwlock_create ->
+      let name = s.name in
       let rw =
-        { rw_id = Growvec.length t.rwlocks; rw_name = name; rw_writer = None; rw_readers = []; rw_waiters = Queue.create () }
+        { rw_id = Growvec.length t.rwlocks; rw_name = name; rw_writer = -1; rw_readers = []; rw_waiters = Queue.create () }
       in
       ignore (Growvec.push t.rwlocks rw);
-      emit t (Event.E_sync_create { tid = th.tid; sync = Event.Rwlock rw.rw_id; name; loc });
+      emit t (Event.E_sync_create { tid = th.tid; sync = Event.Rwlock rw.rw_id; name; loc = s.loc });
       reschedule_self t th rw.rw_id k
-  | Rwlock_lock { rw; mode; loc } -> (
+  | Rwlock_lock ->
+      let rw = s.arg and mode = s.mode in
       let r = Growvec.get t.rwlocks rw in
-      match mode with
-      | Read_mode ->
-          if r.rw_writer = None && Queue.is_empty r.rw_waiters then begin
-            r.rw_readers <- th.tid :: r.rw_readers;
-            emit t (Event.E_acquire { tid = th.tid; lock = Event.Rwlock rw; mode; loc });
-            reschedule_self t th () k
-          end
-          else begin
-            Queue.push (th.tid, mode) r.rw_waiters;
-            th.status <- Blocked (On_rwlock (rw, mode));
-            resume_with th (fun () -> ()) k
-          end
-      | Write_mode ->
-          if r.rw_writer = None && r.rw_readers = [] && Queue.is_empty r.rw_waiters then begin
-            r.rw_writer <- Some th.tid;
-            emit t (Event.E_acquire { tid = th.tid; lock = Event.Rwlock rw; mode; loc });
-            reschedule_self t th () k
-          end
-          else begin
-            Queue.push (th.tid, mode) r.rw_waiters;
-            th.status <- Blocked (On_rwlock (rw, mode));
-            resume_with th (fun () -> ()) k
-          end)
-  | Rwlock_unlock { rw; loc } ->
+      let free =
+        r.rw_writer < 0
+        && Queue.is_empty r.rw_waiters
+        && (match mode with Read_mode -> true | Write_mode -> r.rw_readers = [])
+      in
+      if free then begin
+        (match mode with
+        | Read_mode -> r.rw_readers <- th.tid :: r.rw_readers
+        | Write_mode -> r.rw_writer <- th.tid);
+        emit t (Event.E_acquire { tid = th.tid; lock = Event.Rwlock rw; mode; loc = s.loc });
+        reschedule_self t th 0 k
+      end
+      else begin
+        Queue.push (th.tid, mode) r.rw_waiters;
+        block th (On_rwlock (rw, mode)) k
+      end
+  | Rwlock_unlock ->
+      let rw = s.arg and loc = s.loc in
       let r = Growvec.get t.rwlocks rw in
-      (if r.rw_writer = Some th.tid then r.rw_writer <- None
+      (if r.rw_writer = th.tid then r.rw_writer <- -1
        else if List.mem th.tid r.rw_readers then
          r.rw_readers <- List.filter (fun x -> x <> th.tid) r.rw_readers
        else raise (Misuse (Fmt.str "thread %d unlocks rwlock %S it does not hold" th.tid r.rw_name)));
       emit t (Event.E_release { tid = th.tid; lock = Event.Rwlock rw; loc });
       rwlock_grant_waiters t r ~loc;
-      reschedule_self t th () k
-  | Cond_create { name; loc } ->
+      reschedule_self t th 0 k
+  | Cond_create ->
+      let name = s.name in
       let cv = { cv_id = Growvec.length t.conds; cv_name = name; cv_waiters = Queue.create () } in
       ignore (Growvec.push t.conds cv);
-      emit t (Event.E_sync_create { tid = th.tid; sync = Event.Cond cv.cv_id; name; loc });
+      emit t (Event.E_sync_create { tid = th.tid; sync = Event.Cond cv.cv_id; name; loc = s.loc });
       reschedule_self t th cv.cv_id k
-  | Cond_wait { cv; m; loc } ->
+  | Cond_wait ->
+      let cv = s.arg and m = s.arg2 and loc = s.loc in
       let c = Growvec.get t.conds cv in
       let mu = Growvec.get t.mutexes m in
       emit t (Event.E_cond_wait_pre { tid = th.tid; cv; m; loc });
       do_mutex_unlock t th mu ~loc;
       Queue.push (th.tid, m) c.cv_waiters;
-      th.status <- Blocked (On_cond (cv, m));
-      resume_with th (fun () -> ()) k
-  | Cond_signal { cv; loc } ->
+      block th (On_cond (cv, m)) k
+  | Cond_signal ->
+      let cv = s.arg and loc = s.loc in
       let c = Growvec.get t.conds cv in
       emit t (Event.E_cond_signal { tid = th.tid; cv; broadcast = false; loc });
       (if not (Queue.is_empty c.cv_waiters) then begin
          let w, m = Queue.pop c.cv_waiters in
          wake_cond_waiter t w m ~cv ~loc
        end);
-      reschedule_self t th () k
-  | Cond_broadcast { cv; loc } ->
+      reschedule_self t th 0 k
+  | Cond_broadcast ->
+      let cv = s.arg and loc = s.loc in
       let c = Growvec.get t.conds cv in
       emit t (Event.E_cond_signal { tid = th.tid; cv; broadcast = true; loc });
       while not (Queue.is_empty c.cv_waiters) do
         let w, m = Queue.pop c.cv_waiters in
         wake_cond_waiter t w m ~cv ~loc
       done;
-      reschedule_self t th () k
-  | Sem_create { name; init; loc } ->
-      let s = { sem_id = Growvec.length t.sems; sem_name = name; sem_count = init; sem_waiters = Queue.create () } in
-      ignore (Growvec.push t.sems s);
-      emit t (Event.E_sync_create { tid = th.tid; sync = Event.Sem s.sem_id; name; loc });
-      reschedule_self t th s.sem_id k
-  | Sem_wait { s; loc } ->
-      let sem = Growvec.get t.sems s in
+      reschedule_self t th 0 k
+  | Sem_create ->
+      let name = s.name in
+      let sem = { sem_id = Growvec.length t.sems; sem_name = name; sem_count = s.arg; sem_waiters = Queue.create () } in
+      ignore (Growvec.push t.sems sem);
+      emit t (Event.E_sync_create { tid = th.tid; sync = Event.Sem sem.sem_id; name; loc = s.loc });
+      reschedule_self t th sem.sem_id k
+  | Sem_wait ->
+      let id = s.arg in
+      let sem = Growvec.get t.sems id in
       if sem.sem_count > 0 then begin
         sem.sem_count <- sem.sem_count - 1;
-        emit t (Event.E_sem_wait_post { tid = th.tid; sem = s; loc });
-        reschedule_self t th () k
+        emit t (Event.E_sem_wait_post { tid = th.tid; sem = id; loc = s.loc });
+        reschedule_self t th 0 k
       end
       else begin
         Queue.push th.tid sem.sem_waiters;
-        th.status <- Blocked (On_sem s);
-        resume_with th (fun () -> ()) k
+        block th (On_sem id) k
       end
-  | Sem_post { s; loc } ->
-      let sem = Growvec.get t.sems s in
-      emit t (Event.E_sem_post { tid = th.tid; sem = s; loc });
+  | Sem_post ->
+      let id = s.arg and loc = s.loc in
+      let sem = Growvec.get t.sems id in
+      emit t (Event.E_sem_post { tid = th.tid; sem = id; loc });
       (if Queue.is_empty sem.sem_waiters then sem.sem_count <- sem.sem_count + 1
        else begin
          let w = Queue.pop sem.sem_waiters in
-         emit t (Event.E_sem_wait_post { tid = w; sem = s; loc });
+         emit t (Event.E_sem_wait_post { tid = w; sem = id; loc });
          enqueue_ready t w
        end);
-      reschedule_self t th () k
-  | Client req ->
+      reschedule_self t th 0 k
+  | Client ->
+      let req = s.req in
       let loc = match th.frames with [] -> Loc.unknown | l :: _ -> l in
       (match req with
       | Benign_race { addr; len } -> t.benign_ranges <- (addr, len) :: t.benign_ranges
       | Destruct _ | Happens_before _ | Happens_after _ -> ());
       emit t (Event.E_client { tid = th.tid; req; loc });
-      reschedule_self t th () k
-  | Yield -> reschedule_self t th () k
-  | Sleep n ->
-      th.status <- Blocked (On_sleep (t.clock + max 1 n));
-      resume_with th (fun () -> ()) k
+      reschedule_self t th 0 k
+  | Yield -> reschedule_self t th 0 k
+  | Sleep -> block th (On_sleep (t.clock + max 1 s.arg)) k
   | Now -> reschedule_self t th t.clock k
   | Self -> reschedule_self t th th.tid k
-  | Push_frame loc ->
-      th.frames <- loc :: th.frames;
-      reschedule_self t th () k
+  | Push_frame ->
+      th.frames <- s.loc :: th.frames;
+      reschedule_self t th 0 k
   | Pop_frame ->
       (match th.frames with [] -> () | _ :: rest -> th.frames <- rest);
-      reschedule_self t th () k
-  | Random_int bound -> reschedule_self t th (Rng.int t.rng bound) k
+      reschedule_self t th 0 k
+  | Random_int -> reschedule_self t th (Rng.int t.rng s.arg) k
 
 and wake_cond_waiter t w m ~cv ~loc =
   (* a signalled waiter must reacquire its mutex before returning *)
   let mu = Growvec.get t.mutexes m in
   let wth = thread t w in
-  (match mu.m_owner with
-  | None ->
-      mu.m_owner <- Some w;
-      emit t (Event.E_acquire { tid = w; lock = Event.Mutex m; mode = Write_mode; loc });
-      emit t (Event.E_cond_wait_post { tid = w; cv; m; loc });
-      enqueue_ready t w
-  | Some _ ->
-      (* park on the mutex; when granted, the wait_post event must
-         still be emitted — we wrap the thread's wake closure. *)
-      wth.status <- Blocked (On_mutex m);
-      (match wth.wake with
-      | Wake (k, v) ->
-          wth.wake <-
-            Wake
-              ( k,
-                fun () ->
-                  emit t (Event.E_cond_wait_post { tid = w; cv; m; loc });
-                  v () )
-      | Wake_v (k, v) ->
-          wth.wake <-
-            Wake
-              ( k,
-                fun () ->
-                  emit t (Event.E_cond_wait_post { tid = w; cv; m; loc });
-                  v )
-      | No_wake -> ());
-      Queue.push w mu.m_waiters)
+  if mu.m_owner < 0 then begin
+    mu.m_owner <- w;
+    emit t (Event.E_acquire { tid = w; lock = Event.Mutex m; mode = Write_mode; loc });
+    emit t (Event.E_cond_wait_post { tid = w; cv; m; loc });
+    enqueue_ready t w
+  end
+  else begin
+    (* park on the mutex; when granted, the wait_post event must still
+       be emitted — at the moment the waiter runs again *)
+    wth.status <- Blocked (On_mutex m);
+    (match wth.wake with
+    | Wake k -> wth.wake <- Wake_cond_post { k; cv; m; loc }
+    | Wake_cond_post _ | No_wake -> ());
+    Queue.push w mu.m_waiters
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The scheduler loop                                                  *)
@@ -765,7 +771,20 @@ let thread_finished t th =
     th.join_waiters;
   th.join_waiters <- []
 
-let handler t th : (unit, unit) Effect.Deep.handler =
+(* One handler per thread.  [Step] is the only effect, so its handler
+   function and the [Some] around it are built once here, not per op. *)
+let handler t th slots : (unit, unit) Effect.Deep.handler =
+  let on_step =
+    Some
+      (fun k ->
+        (* API misuse (bad unlock, double free, out-of-bounds access,
+           ...) is the calling thread's error: deliver it at the
+           perform point so the thread fails and the VM keeps running.
+           Engine-level conditions (Too_many_ops) still abort the run. *)
+        match handle_op t th slots k with
+        | () -> ()
+        | exception ((Misuse _ | Invalid_argument _) as e) -> Effect.Deep.discontinue k e)
+  in
   {
     retc = (fun () -> thread_finished t th);
     exnc =
@@ -775,37 +794,27 @@ let handler t th : (unit, unit) Effect.Deep.handler =
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
-        | Do op ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                (* API misuse (bad unlock, double free, out-of-bounds
-                   access, ...) is the calling thread's error: deliver
-                   it at the perform point so the thread fails and the
-                   VM keeps running.  Engine-level conditions
-                   (Too_many_ops) still abort the run. *)
-                match handle_op t th op k with
-                | () -> ()
-                | exception ((Misuse _ | Invalid_argument _) as e) ->
-                    Effect.Deep.discontinue k e)
+        | Step -> (on_step : ((a, unit) Effect.Deep.continuation -> unit) option)
         | _ -> None);
   }
 
-let run_thread t th =
+let run_thread t th slots =
   t.current <- th.tid;
   t.switches <- t.switches + 1;
   match th.status with
   | Fresh body ->
       th.status <- Running;
-      Effect.Deep.match_with body () (handler t th)
+      Effect.Deep.match_with body () (handler t th slots)
   | Ready -> (
       th.status <- Running;
       match th.wake with
-      | Wake (k, v) ->
+      | Wake k ->
           th.wake <- No_wake;
-          Effect.Deep.continue k (v ())
-      | Wake_v (k, v) ->
+          Effect.Deep.continue k th.wake_v
+      | Wake_cond_post { k; cv; m; loc } ->
           th.wake <- No_wake;
-          Effect.Deep.continue k v
+          emit t (Event.E_cond_wait_post { tid = th.tid; cv; m; loc });
+          Effect.Deep.continue k 0
       | No_wake -> invalid_arg "run_thread: ready thread without wake")
   | Running | Blocked _ | Done -> invalid_arg "run_thread: thread not runnable"
 
@@ -858,6 +867,7 @@ let run t main =
       parent = None;
       status = Fresh main;
       wake = No_wake;
+      wake_v = 0;
       frames = [ Loc.v "<vm>" "main" 0 ];
       failure = None;
       join_waiters = [];
@@ -867,6 +877,7 @@ let run t main =
   ignore (Growvec.push t.threads main_thread);
   emit t (Event.E_thread_start { tid = 0; name = "main"; parent = None });
   enqueue_ready t 0;
+  let slots = Eff.slots () in
   let deadlock = ref None in
   (try
      let continue_loop = ref true in
@@ -886,7 +897,7 @@ let run t main =
                      deadlock := Some d;
                      continue_loop := false
                  | None -> continue_loop := false))
-       | tid -> run_thread t (thread t tid)
+       | tid -> run_thread t (thread t tid) slots
      done
    with Too_many_ops ->
      deadlock :=

@@ -657,23 +657,37 @@ let write_read_loop n =
     ignore (Api.read ~loc a)
   done
 
-(* Per-op budgets, measured with OCaml 5.1 native code: 16 words for a
-   [Yield] (the effect round trip alone: the [Do] wrapper, the
-   continuation, the handler's per-effect closure and its [Some], the
-   [Wake_v] slot) and 19.5 for a write+read pair's average.  Each bound
-   sits less than one [Some] (2 words) above its value, so a per-op
-   option or closure that creeps back into the engine fails here. *)
-let yield_budget = 17.5
-let write_read_budget = 21.0
+(* one lock then one unlock of a free mutex per two operations *)
+let lock_unlock_loop n =
+  let m = Api.Mutex.create ~loc "m" in
+  for _ = 1 to n / 2 do
+    Api.Mutex.lock ~loc m;
+    Api.Mutex.unlock ~loc m
+  done
+
+(* Per-op budgets, measured with OCaml 5.1 native code: 4 words for a
+   [Yield] (the effect round trip alone: the continuation and the
+   [Wake] that parks it), 4 for a write+read pair's average (an
+   unobserved access builds no event) and 10.5 for a lock+unlock pair's
+   (the [E_acquire]/[E_release] records and their [Mutex] refs, which
+   are emitted even with no tool attached).  Each bound sits less than
+   one [Some] (2 words) above its value, so a per-op option or closure
+   that creeps back into the engine fails here. *)
+let yield_budget = 5.5
+let write_read_budget = 5.5
+let lock_unlock_budget = 12.0
 
 let test_alloc_budget () =
   if Sys.backend_type = Sys.Native then begin
     let y = words_per_op ~n:20_000 yield_loop in
     let rw = words_per_op ~n:20_000 write_read_loop in
+    let lu = words_per_op ~n:20_000 lock_unlock_loop in
     if y > yield_budget then
       Alcotest.failf "Yield allocates %.2f words/op (budget %.1f)" y yield_budget;
     if rw > write_read_budget then
       Alcotest.failf "write+read allocates %.2f words/op (budget %.1f)" rw write_read_budget;
+    if lu > lock_unlock_budget then
+      Alcotest.failf "lock+unlock allocates %.2f words/op (budget %.1f)" lu lock_unlock_budget;
     (* an attached tool sees real records: with it the same loop pays
        at least one access event record per access *)
     let record =
@@ -715,6 +729,64 @@ let test_tool_exception_ends_run () =
       Alcotest.(check string) "names the tool" "boom" name;
       Alcotest.(check bool) "carries the tool's exception" true (e = Invalid_argument "boom");
       Alcotest.(check bool) "the thread never saw it" false !caught
+
+(* The API is only meaningful under the engine's handler: outside
+   [Engine.run] its effect has no handler, as api.mli promises. *)
+let test_api_outside_run () =
+  match Api.read ~loc 0 with
+  | (_ : int) -> Alcotest.fail "Api.read returned outside Engine.run"
+  | exception Effect.Unhandled _ -> ()
+
+(* A write/read/lock/spawn program whose event stream records the
+   operands and results of every op kind the slots carry. *)
+let slot_program () =
+  let m = Api.Mutex.create ~loc "m" in
+  let cell = Api.alloc ~loc 1 in
+  let worker i () =
+    for j = 1 to 50 do
+      Api.Mutex.lock ~loc m;
+      let v = Api.read ~loc cell in
+      Api.write ~loc cell (v + i + j);
+      Api.Mutex.unlock ~loc m;
+      if Api.Mutex.try_lock ~loc m then Api.Mutex.unlock ~loc m;
+      ignore (Api.atomic_incr ~loc cell)
+    done
+  in
+  let ts = List.init 4 (fun i -> Api.spawn ~loc ~name:(Printf.sprintf "w%d" i) (worker i)) in
+  List.iter (Api.join ~loc) ts
+
+let recorded_run () =
+  let events = ref [] in
+  let vm = Engine.create ~config:{ Engine.default_config with seed = 5 } () in
+  Engine.add_tool vm (Vm.Tool.of_fn "record" (fun e -> events := e :: !events));
+  let outcome = Engine.run vm slot_program in
+  (List.rev !events, outcome.deadlock = None, outcome.failures = [], outcome.stats)
+
+(* The op slots are per domain: a VM running on a second domain at the
+   same time as one on the main domain must not see the other's
+   operands.  Both must reproduce a sequential run event for event. *)
+let test_slots_per_domain () =
+  let rounds = 40 in
+  let expected = recorded_run () in
+  let events, _, _, _ = expected in
+  Alcotest.(check bool) "the program emits events" true (List.length events > 1000);
+  (* both domains start together, so their runs overlap *)
+  let ready = Atomic.make 0 in
+  let repeat () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    List.init rounds (fun _ -> recorded_run ())
+  in
+  let other = Domain.spawn repeat in
+  let here = repeat () in
+  let there = Domain.join other in
+  List.iteri
+    (fun i (here, there) ->
+      if here <> expected then Alcotest.failf "main-domain run %d differs from the sequential run" i;
+      if there <> expected then Alcotest.failf "second-domain run %d differs from the sequential run" i)
+    (List.combine here there)
 
 (* Negative script entries pick [entry mod n] reduced into [0, n). *)
 let test_scripted_negative_entries () =
@@ -771,4 +843,6 @@ let suite =
       Alcotest.test_case "allocation budget per op" `Quick test_alloc_budget;
       Alcotest.test_case "tool exception ends the run" `Quick test_tool_exception_ends_run;
       Alcotest.test_case "scripted negative entries" `Quick test_scripted_negative_entries;
+      Alcotest.test_case "api outside the engine is unhandled" `Quick test_api_outside_run;
+      Alcotest.test_case "op slots are per domain" `Quick test_slots_per_domain;
     ] )
