@@ -135,26 +135,60 @@ let digest_signatures locations =
 let m_digest_occurrences = Metrics.counter "detector.report.digest_occurrences"
 let m_digest_bytes = Metrics.counter "detector.report.digest_bytes"
 
+(* The runtime's incremental MD5 (md5_stream_stubs.c) over an 88-byte
+   context: the same hash as [Digest.string] of the concatenation. *)
+external md5_init : Bytes.t -> unit = "raceguard_md5_init" [@@noalloc]
+external md5_update : Bytes.t -> Bytes.t -> int -> unit = "raceguard_md5_update" [@@noalloc]
+external md5_final : Bytes.t -> Bytes.t -> unit = "raceguard_md5_final" [@@noalloc]
+
+let digest_chunk = 65536
+
+(* A digest in progress: the MD5 context, the buffer occurrences render
+   into, and the bytes that buffer is blitted through to reach MD5.
+   [chunk] is sized at its first use, to at most [digest_chunk], so a
+   short stream allocates about its own length and a long one 64 KB. *)
+type md5_stream = { ctx : Bytes.t; buf : Buffer.t; mutable chunk : Bytes.t }
+
+(* Feed [s.buf] to MD5 from [off], [digest_chunk] bytes at a time, then
+   empty it. *)
+let rec md5_feed s off =
+  let len = min digest_chunk (Buffer.length s.buf - off) in
+  if len > 0 then begin
+    if Bytes.length s.chunk < len then s.chunk <- Bytes.create len;
+    Buffer.blit s.buf off s.chunk 0 len;
+    md5_update s.ctx s.chunk len;
+    md5_feed s (off + len)
+  end
+  else Buffer.clear s.buf
+
+let rec md5_reports s n bytes = function
+  | [] ->
+      md5_feed s 0;
+      (n, bytes)
+  | r :: rest ->
+      let start = Buffer.length s.buf in
+      if n > 0 then Buffer.add_char s.buf '\n';
+      Report.add_to_buffer s.buf r;
+      let bytes = bytes + Buffer.length s.buf - start in
+      if Buffer.length s.buf >= digest_chunk then md5_feed s 0;
+      md5_reports s (n + 1) bytes rest
+
 (** MD5 over every occurrence rendered with {!Report.add_to_buffer}, in
     chronological order and ['\n']-separated: byte-level equality of
     the full report stream, not just of its dedup signatures.  The
-    buffer is per call because pool domains digest concurrently.  It is
-    sized for ~400 bytes per occurrence (SIP reports render to 365–510),
-    so the tens of MB of an eraser-pure stream are not reached by
-    doubling copies whose garbage would raise the peak heap. *)
+    stream is never materialised: occurrences render into one reused
+    buffer that is hashed 64 KB at a time, so an eraser-pure stream of
+    tens of MB costs a few hundred KB of buffers.  The state is per
+    call because pool domains digest concurrently. *)
 let digest_reports occurrences =
-  let b = Buffer.create (max 4096 (400 * List.length occurrences)) in
-  let n =
-    List.fold_left
-      (fun i r ->
-        if i > 0 then Buffer.add_char b '\n';
-        Report.add_to_buffer b r;
-        i + 1)
-      0 occurrences
-  in
+  let s = { ctx = Bytes.create 88; buf = Buffer.create 4096; chunk = Bytes.empty } in
+  md5_init s.ctx;
+  let n, bytes = md5_reports s 0 0 occurrences in
   Metrics.add m_digest_occurrences n;
-  Metrics.add m_digest_bytes (Buffer.length b);
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  Metrics.add m_digest_bytes bytes;
+  let d = Bytes.create 16 in
+  md5_final s.ctx d;
+  Digest.to_hex (Bytes.unsafe_to_string d)
 
 type verdict = {
   v_config : string;

@@ -82,9 +82,12 @@ type verdict = {
 val sig_string : Report.t -> string
 val digest_signatures : (Report.t * int) list -> string
 val digest_reports : Report.t list -> string
-(** Renders into one buffer per call (safe on concurrent pool domains)
-    and adds the occurrence and byte counts to the
-    [detector.report.digest_occurrences] / [digest_bytes] counters. *)
+(** Equals [Digest.to_hex (Digest.string (String.concat "\n" renderings))]
+    without building that string: occurrences render into one reused
+    buffer that is hashed 64 KB at a time (state per call, so safe on
+    concurrent pool domains).  Adds the occurrence count and the
+    rendered length to the [detector.report.digest_occurrences] /
+    [digest_bytes] counters. *)
 
 val verdict_of_sink : events:int -> sink -> verdict
 val verdict_to_json : verdict -> Json.t

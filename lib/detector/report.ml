@@ -83,37 +83,34 @@ let signature r : signature = (r.kind, take signature_depth r.stack)
 
 (* [%#x]: "0" for zero, "0x" and lowercase digits otherwise; [lsr]
    reads a negative int as its unsigned 63-bit pattern, as [%x] does *)
+let rec add_hex_digits b n =
+  if n <> 0 then begin
+    add_hex_digits b (n lsr 4);
+    Buffer.add_char b (String.unsafe_get "0123456789abcdef" (n land 15))
+  end
+
 let add_hex b n =
   if n = 0 then Buffer.add_char b '0'
   else begin
     Buffer.add_string b "0x";
-    let rec digits n =
-      if n <> 0 then begin
-        digits (n lsr 4);
-        Buffer.add_char b (String.unsafe_get "0123456789abcdef" (n land 15))
-      end
-    in
-    digits n
+    add_hex_digits b n
   end
 
 (* at most [depth] frames, innermost "at", the rest "by" *)
-let add_stack b ~depth stack =
-  let rec go i = function
-    | loc :: rest when i < depth ->
-        Buffer.add_string b (if i = 0 then "   at " else "   by ");
-        Loc.add_to_buffer b loc;
-        Buffer.add_char b '\n';
-        go (i + 1) rest
-    | _ -> ()
-  in
-  go 0 stack
+let rec add_stack b depth i = function
+  | loc :: rest when i < depth ->
+      Buffer.add_string b (if i = 0 then "   at " else "   by ");
+      Loc.add_to_buffer b loc;
+      Buffer.add_char b '\n';
+      add_stack b depth (i + 1) rest
+  | _ -> ()
 
 let add_to_buffer b r =
   Buffer.add_string b (kind_name r.kind);
   Buffer.add_string b " at ";
   add_hex b r.addr;
   Buffer.add_char b '\n';
-  add_stack b ~depth:max_int r.stack;
+  add_stack b max_int 0 r.stack;
   (match r.block with
   | Some blk ->
       Buffer.add_string b " Address ";
@@ -125,7 +122,7 @@ let add_to_buffer b r =
       Buffer.add_string b " alloc'd by thread ";
       Loc.add_int b blk.b_alloc_tid;
       Buffer.add_char b '\n';
-      add_stack b ~depth:signature_depth blk.b_alloc_stack
+      add_stack b signature_depth 0 blk.b_alloc_stack
   | None -> ());
   if r.detail <> "" then begin
     Buffer.add_char b ' ';
@@ -219,47 +216,78 @@ let to_json r =
 
 (* --- collector ------------------------------------------------------ *)
 
-module Sig_map = Map.Make (struct
-  type t = signature
+(* Dedup by signature without building one: a key is a report, equal to
+   another when kinds and the top [signature_depth] frames agree.  The
+   frames are mostly the same interned [Loc.t]s, so [==] settles most
+   comparisons; the hash reads only ints (kind, line, name length) and
+   runs no [caml_hash] over strings. *)
+let kind_index = function Race_write -> 0 | Race_read -> 1 | Lock_order -> 2
 
-  let compare (k1, s1) (k2, s2) =
-    let c = compare k1 k2 in
-    if c <> 0 then c else List.compare Loc.compare s1 s2
+let rec frames_equal i s1 s2 =
+  i = 0
+  ||
+  match (s1, s2) with
+  | [], [] -> true
+  | a :: r1, b :: r2 -> (a == b || Loc.equal a b) && frames_equal (i - 1) r1 r2
+  | _ -> false
+
+let rec frames_hash i h = function
+  | (l : Loc.t) :: rest when i > 0 ->
+      frames_hash (i - 1) ((h * 31) + (l.line * 7) + String.length l.func) rest
+  | _ -> h
+
+module Sig_tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal a b = a.kind == b.kind && frames_equal signature_depth a.stack b.stack
+  let hash r = frames_hash signature_depth (kind_index r.kind) r.stack land max_int
 end)
+
+type location = { first : t; mutable count : int }
 
 type collector = {
   mutable all : t list;  (** reverse chronological *)
-  mutable by_sig : (t * int) Sig_map.t;  (** first occurrence, count *)
+  by_sig : location Sig_tbl.t;
   mutable suppressed : int;
-  mutable suppressions : Suppression.t list;
+  suppressions : Suppression.t list;
 }
 
 let collector ?(suppressions = []) () =
-  { all = []; by_sig = Sig_map.empty; suppressed = 0; suppressions }
+  { all = []; by_sig = Sig_tbl.create 16; suppressed = 0; suppressions }
+
+let suppressed_by c r =
+  match c.suppressions with
+  | [] -> false
+  | sups ->
+      let kind = kind_name r.kind in
+      List.exists (fun s -> Suppression.matches s ~kind ~stack:r.stack) sups
 
 let add c r =
-  let kind = kind_name r.kind in
-  if List.exists (fun s -> Suppression.matches s ~kind ~stack:r.stack) c.suppressions then
-    c.suppressed <- c.suppressed + 1
+  if suppressed_by c r then c.suppressed <- c.suppressed + 1
   else begin
     c.all <- r :: c.all;
-    let s = signature r in
-    c.by_sig <-
-      Sig_map.update s
-        (function None -> Some (r, 1) | Some (first, n) -> Some (first, n + 1))
-        c.by_sig
+    match Sig_tbl.find c.by_sig r with
+    | l -> l.count <- l.count + 1
+    | exception Not_found -> Sig_tbl.add c.by_sig r { first = r; count = 1 }
   end
 
 (** All occurrences, in chronological order. *)
 let occurrences c = List.rev c.all
 
-(** Distinct reported locations (the Figure 6 metric), with occurrence
-    counts, ordered by first occurrence. *)
-let locations c =
-  Sig_map.bindings c.by_sig
-  |> List.map (fun (_, (r, n)) -> (r, n))
-  |> List.sort (fun (a, _) (b, _) -> compare a.clock b.clock)
+let compare_signatures a b =
+  let c = compare a.kind b.kind in
+  if c <> 0 then c
+  else List.compare Loc.compare (take signature_depth a.stack) (take signature_depth b.stack)
 
-let location_count c = Sig_map.cardinal c.by_sig
+(** Distinct reported locations (the Figure 6 metric), with occurrence
+    counts, ordered by first occurrence; signatures first seen at the
+    same clock keep signature order. *)
+let locations c =
+  Sig_tbl.fold (fun _ l acc -> (l.first, l.count) :: acc) c.by_sig []
+  |> List.sort (fun (a, _) (b, _) ->
+         let c = Int.compare a.clock b.clock in
+         if c <> 0 then c else compare_signatures a b)
+
+let location_count c = Sig_tbl.length c.by_sig
 let occurrence_count c = List.length c.all
 let suppressed_count c = c.suppressed

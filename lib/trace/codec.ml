@@ -45,14 +45,14 @@ let write_varint buf n =
   if n < 0 then invalid_arg "Codec.write_varint: negative";
   write_varint_loop buf n
 
-let read_varint c =
-  let rec go shift acc =
-    if shift > 62 then raise Truncated;
-    let b = read_byte c in
-    let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+(* top-level and taking the cursor, so no closure is built per call *)
+let rec read_varint_from c shift acc =
+  if shift > 62 then raise Truncated;
+  let b = read_byte c in
+  let acc = acc lor ((b land 0x7F) lsl shift) in
+  if b land 0x80 = 0 then acc else read_varint_from c (shift + 7) acc
+
+let read_varint c = read_varint_from c 0 0
 
 (* zigzag: signed ints of small magnitude stay small *)
 let write_zigzag buf n = write_varint buf ((n lsl 1) lxor (n asr (Sys.int_size - 1)))

@@ -96,90 +96,90 @@ type decoder = {
   blocks : Vm.Memory.block Tbl.t;
 }
 
+(* the interned-table lookups of an event payload; top-level, so the
+   per-field reads build no closures *)
+let read_loc d = Tbl.get d.locs (Codec.read_varint d.c)
+let read_str d = Tbl.get d.strings (Codec.read_varint d.c)
+
 let read_payload d kind : Vm.Event.t =
   let c = d.c in
-  let v () = Codec.read_varint c in
-  let z () = Codec.read_zigzag c in
-  let b () = Codec.read_bool c in
-  let l () = Tbl.get d.locs (v ()) in
-  let s () = Tbl.get d.strings (v ()) in
   match kind with
   | 0 ->
-      let tid = v () in
-      let name = s () in
-      let parent = match v () with 0 -> None | p -> Some (p - 1) in
+      let tid = Codec.read_varint c in
+      let name = read_str d in
+      let parent = match Codec.read_varint c with 0 -> None | p -> Some (p - 1) in
       Vm.Event.E_thread_start { tid; name; parent }
-  | 1 -> E_thread_exit { tid = v () }
+  | 1 -> E_thread_exit { tid = Codec.read_varint c }
   | 2 ->
-      let parent = v () in
-      let child = v () in
-      E_spawn { parent; child; loc = l () }
+      let parent = Codec.read_varint c in
+      let child = Codec.read_varint c in
+      E_spawn { parent; child; loc = read_loc d }
   | 3 ->
-      let joiner = v () in
-      let joined = v () in
-      E_join { joiner; joined; loc = l () }
+      let joiner = Codec.read_varint c in
+      let joined = Codec.read_varint c in
+      E_join { joiner; joined; loc = read_loc d }
   | 4 | 5 ->
-      let tid = v () in
-      let addr = v () in
-      let value = z () in
-      let atomic = b () in
-      let loc = l () in
+      let tid = Codec.read_varint c in
+      let addr = Codec.read_varint c in
+      let value = Codec.read_zigzag c in
+      let atomic = Codec.read_bool c in
+      let loc = read_loc d in
       if kind = 4 then E_read { tid; addr; value; atomic; loc }
       else E_write { tid; addr; value; atomic; loc }
   | 6 | 7 ->
-      let tid = v () in
-      let addr = v () in
-      let len = v () in
-      let loc = l () in
+      let tid = Codec.read_varint c in
+      let addr = Codec.read_varint c in
+      let len = Codec.read_varint c in
+      let loc = read_loc d in
       if kind = 6 then E_alloc { tid; addr; len; loc } else E_free { tid; addr; len; loc }
   | 8 ->
-      let tid = v () in
+      let tid = Codec.read_varint c in
       let sync = read_sync c in
-      let name = s () in
-      E_sync_create { tid; sync; name; loc = l () }
+      let name = read_str d in
+      E_sync_create { tid; sync; name; loc = read_loc d }
   | 9 ->
-      let tid = v () in
+      let tid = Codec.read_varint c in
       let lock = read_sync c in
-      let mode = if b () then Vm.Eff.Write_mode else Vm.Eff.Read_mode in
-      E_acquire { tid; lock; mode; loc = l () }
+      let mode = if Codec.read_bool c then Vm.Eff.Write_mode else Vm.Eff.Read_mode in
+      E_acquire { tid; lock; mode; loc = read_loc d }
   | 10 ->
-      let tid = v () in
+      let tid = Codec.read_varint c in
       let lock = read_sync c in
-      E_release { tid; lock; loc = l () }
+      E_release { tid; lock; loc = read_loc d }
   | 11 ->
-      let tid = v () in
-      let cv = v () in
-      let broadcast = b () in
-      E_cond_signal { tid; cv; broadcast; loc = l () }
+      let tid = Codec.read_varint c in
+      let cv = Codec.read_varint c in
+      let broadcast = Codec.read_bool c in
+      E_cond_signal { tid; cv; broadcast; loc = read_loc d }
   | 12 | 13 ->
-      let tid = v () in
-      let cv = v () in
-      let m = v () in
-      let loc = l () in
+      let tid = Codec.read_varint c in
+      let cv = Codec.read_varint c in
+      let m = Codec.read_varint c in
+      let loc = read_loc d in
       if kind = 12 then E_cond_wait_pre { tid; cv; m; loc }
       else E_cond_wait_post { tid; cv; m; loc }
   | 14 | 15 ->
-      let tid = v () in
-      let sem = v () in
-      let loc = l () in
+      let tid = Codec.read_varint c in
+      let sem = Codec.read_varint c in
+      let loc = read_loc d in
       if kind = 14 then E_sem_post { tid; sem; loc } else E_sem_wait_post { tid; sem; loc }
   | 16 ->
-      let tid = v () in
+      let tid = Codec.read_varint c in
       let req =
         match Codec.read_byte c with
         | 0 ->
-            let addr = v () in
-            let len = v () in
+            let addr = Codec.read_varint c in
+            let len = Codec.read_varint c in
             Vm.Eff.Destruct { addr; len }
         | 1 ->
-            let addr = v () in
-            let len = v () in
+            let addr = Codec.read_varint c in
+            let len = Codec.read_varint c in
             Vm.Eff.Benign_race { addr; len }
-        | 2 -> Vm.Eff.Happens_before { tag = z () }
-        | 3 -> Vm.Eff.Happens_after { tag = z () }
+        | 2 -> Vm.Eff.Happens_before { tag = Codec.read_zigzag c }
+        | 3 -> Vm.Eff.Happens_after { tag = Codec.read_zigzag c }
         | n -> fail "unknown client-request subtag %d" n
       in
-      E_client { tid; req; loc = l () }
+      E_client { tid; req; loc = read_loc d }
   | _ -> fail "unknown event kind %d" kind
 
 let decode data =

@@ -61,14 +61,11 @@ let equal a b = compare a b = 0
 
 let hash t = Hashtbl.hash (t.file, t.func, t.line)
 
-let add_int b n =
-  if n < 0 then Buffer.add_string b (string_of_int n)
-  else
-    let rec digits n =
-      if n >= 10 then digits (n / 10);
-      Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
-    in
-    digits n
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b n = if n < 0 then Buffer.add_string b (string_of_int n) else add_digits b n
 
 let add_to_buffer b t =
   Buffer.add_string b t.func;

@@ -373,7 +373,8 @@ let resume_value (th : thread) v k =
    acquisition semantically happens. *)
 let grant_mutex t (m : mutex_obj) tid ~loc =
   m.m_owner <- tid;
-  emit t (Event.E_acquire { tid; lock = Event.Mutex m.m_id; mode = Write_mode; loc });
+  if t.observed then emit t (Event.E_acquire { tid; lock = Event.Mutex m.m_id; mode = Write_mode; loc })
+  else Metrics.incr m_events;
   enqueue_ready t tid
 
 let rec rwlock_grant_waiters t (rw : rwlock_obj) ~loc =
@@ -386,13 +387,15 @@ let rec rwlock_grant_waiters t (rw : rwlock_obj) ~loc =
         if rw.rw_readers = [] then begin
           ignore (Queue.pop rw.rw_waiters);
           rw.rw_writer <- tid;
-          emit t (Event.E_acquire { tid; lock = Event.Rwlock rw.rw_id; mode = Write_mode; loc });
+          if t.observed then emit t (Event.E_acquire { tid; lock = Event.Rwlock rw.rw_id; mode = Write_mode; loc })
+          else Metrics.incr m_events;
           enqueue_ready t tid
         end
     | Read_mode ->
         ignore (Queue.pop rw.rw_waiters);
         rw.rw_readers <- tid :: rw.rw_readers;
-        emit t (Event.E_acquire { tid; lock = Event.Rwlock rw.rw_id; mode = Read_mode; loc });
+        if t.observed then emit t (Event.E_acquire { tid; lock = Event.Rwlock rw.rw_id; mode = Read_mode; loc })
+        else Metrics.incr m_events;
         enqueue_ready t tid;
         rwlock_grant_waiters t rw ~loc
   end
@@ -402,7 +405,8 @@ let do_mutex_unlock t th (m : mutex_obj) ~loc =
   if m.m_owner <> th.tid then
     raise (Misuse (Fmt.str "thread %d unlocks mutex %S it does not hold" th.tid m.m_name));
   m.m_owner <- -1;
-  emit t (Event.E_release { tid = th.tid; lock = Event.Mutex m.m_id; loc });
+  if t.observed then emit t (Event.E_release { tid = th.tid; lock = Event.Mutex m.m_id; loc })
+  else Metrics.incr m_events;
   if not (Queue.is_empty m.m_waiters) then begin
     let w = Queue.pop m.m_waiters in
     grant_mutex t m w ~loc
@@ -589,7 +593,8 @@ let rec handle_op t (th : thread) (s : slots) (k : (int, unit) Effect.Deep.conti
       let mu = Growvec.get t.mutexes m in
       if mu.m_owner < 0 then begin
         mu.m_owner <- th.tid;
-        emit t (Event.E_acquire { tid = th.tid; lock = Event.Mutex m; mode = Write_mode; loc = s.loc });
+        if t.observed then emit t (Event.E_acquire { tid = th.tid; lock = Event.Mutex m; mode = Write_mode; loc = s.loc })
+        else Metrics.incr m_events;
         let lock_delay =
           match t.config.faults with Some inj -> Injector.lock_delay inj | None -> 0
         in
@@ -611,7 +616,8 @@ let rec handle_op t (th : thread) (s : slots) (k : (int, unit) Effect.Deep.conti
       let mu = Growvec.get t.mutexes m in
       if mu.m_owner < 0 then begin
         mu.m_owner <- th.tid;
-        emit t (Event.E_acquire { tid = th.tid; lock = Event.Mutex m; mode = Write_mode; loc = s.loc });
+        if t.observed then emit t (Event.E_acquire { tid = th.tid; lock = Event.Mutex m; mode = Write_mode; loc = s.loc })
+        else Metrics.incr m_events;
         reschedule_self t th 1 k
       end
       else reschedule_self t th 0 k
@@ -639,7 +645,8 @@ let rec handle_op t (th : thread) (s : slots) (k : (int, unit) Effect.Deep.conti
         (match mode with
         | Read_mode -> r.rw_readers <- th.tid :: r.rw_readers
         | Write_mode -> r.rw_writer <- th.tid);
-        emit t (Event.E_acquire { tid = th.tid; lock = Event.Rwlock rw; mode; loc = s.loc });
+        if t.observed then emit t (Event.E_acquire { tid = th.tid; lock = Event.Rwlock rw; mode; loc = s.loc })
+        else Metrics.incr m_events;
         reschedule_self t th 0 k
       end
       else begin
@@ -653,7 +660,8 @@ let rec handle_op t (th : thread) (s : slots) (k : (int, unit) Effect.Deep.conti
        else if List.mem th.tid r.rw_readers then
          r.rw_readers <- List.filter (fun x -> x <> th.tid) r.rw_readers
        else raise (Misuse (Fmt.str "thread %d unlocks rwlock %S it does not hold" th.tid r.rw_name)));
-      emit t (Event.E_release { tid = th.tid; lock = Event.Rwlock rw; loc });
+      if t.observed then emit t (Event.E_release { tid = th.tid; lock = Event.Rwlock rw; loc })
+      else Metrics.incr m_events;
       rwlock_grant_waiters t r ~loc;
       reschedule_self t th 0 k
   | Cond_create ->
@@ -743,7 +751,8 @@ and wake_cond_waiter t w m ~cv ~loc =
   let wth = thread t w in
   if mu.m_owner < 0 then begin
     mu.m_owner <- w;
-    emit t (Event.E_acquire { tid = w; lock = Event.Mutex m; mode = Write_mode; loc });
+    if t.observed then emit t (Event.E_acquire { tid = w; lock = Event.Mutex m; mode = Write_mode; loc })
+    else Metrics.incr m_events;
     emit t (Event.E_cond_wait_post { tid = w; cv; m; loc });
     enqueue_ready t w
   end

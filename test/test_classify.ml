@@ -120,6 +120,80 @@ let test_collector_ordering () =
       Alcotest.(check int) "second clock" 9 second.clock
   | _ -> Alcotest.fail "unexpected location list"
 
+(* Two signatures first seen at the same clock keep signature order:
+   kind first, then the frames by (file, line, func) — the order the
+   collector has always given, added in any order. *)
+let test_collector_same_clock_order () =
+  let c = Det.Report.collector () in
+  let at kind stack = { (mk_report ~kind ~stack ()) with clock = 7 } in
+  let b_stack = [ Loc.v "b.c" "f" 1 ] and a_stack = [ Loc.v "a.c" "f" 9 ] in
+  Det.Report.add c (at Det.Report.Race_read a_stack);
+  Det.Report.add c (at Det.Report.Race_write b_stack);
+  Det.Report.add c (at Det.Report.Race_write a_stack);
+  Det.Report.add c { (at Det.Report.Race_write b_stack) with clock = 9 };
+  Det.Report.add c { (at Det.Report.Lock_order b_stack) with clock = 3 };
+  let order =
+    List.map
+      (fun ((r : Det.Report.t), _) -> (r.kind, Loc.file (List.hd r.stack), r.clock))
+      (Det.Report.locations c)
+  in
+  Alcotest.(check bool) "(clock, kind, frames) order" true
+    (order
+    = [
+        (Det.Report.Lock_order, "b.c", 3);
+        (Det.Report.Race_write, "a.c", 7);
+        (Det.Report.Race_write, "b.c", 7);
+        (Det.Report.Race_read, "a.c", 7);
+      ])
+
+(* Only the top [signature_depth] frames dedup; fresh (not [==]) but
+   equal frames match, and frames that hash alike but differ do not. *)
+let test_collector_dedup_depth () =
+  let frames n tail = List.init n (fun i -> Loc.v "x.c" "f" (10 + i)) @ tail in
+  let count stacks =
+    let c = Det.Report.collector () in
+    List.iter (fun stack -> Det.Report.add c (mk_report ~stack ())) stacks;
+    (Det.Report.location_count c, List.map snd (Det.Report.locations c))
+  in
+  Alcotest.(check (pair int (list int))) "differ only below frame 4: one location" (1, [ 2 ])
+    (count [ frames 4 [ Loc.v "x.c" "outer" 1 ]; frames 4 [ Loc.v "y.c" "other" 2 ] ]);
+  Alcotest.(check (pair int (list int))) "differ only in frame 4: two locations" (2, [ 1; 1 ])
+    (count [ frames 3 [ Loc.v "x.c" "g" 40 ]; frames 3 [ Loc.v "x.c" "h" 41 ] ]);
+  Alcotest.(check (pair int (list int))) "same line and name length, other file: two" (2, [ 1; 1 ])
+    (count [ [ Loc.v "p.c" "f" 5 ]; [ Loc.v "q.c" "f" 5 ] ]);
+  Alcotest.(check (pair int (list int))) "shorter stack is another signature" (2, [ 1; 1 ])
+    (count [ frames 2 []; frames 3 [] ])
+
+let test_collector_suppressions () =
+  let kind = Det.Report.kind_name Det.Report.Race_write in
+  let sup = Det.Suppression.of_frames ~name:"s1" ~kind ~frames:stack1 in
+  let c = Det.Report.collector ~suppressions:[ sup ] () in
+  List.iter
+    (fun stack -> Det.Report.add c (mk_report ~stack ()))
+    [ stack1; stack2; stack1; stack3; stack2 ];
+  Alcotest.(check int) "suppressed" 2 (Det.Report.suppressed_count c);
+  Alcotest.(check int) "locations" 2 (Det.Report.location_count c);
+  Alcotest.(check int) "occurrences" 3 (Det.Report.occurrence_count c);
+  Alcotest.(check (list int)) "counts" [ 2; 1 ] (List.map snd (Det.Report.locations c))
+
+(* Adding an occurrence of a known signature costs the occurrence
+   list's cons cell (3 words) and nothing else: no signature list, no
+   option, no map path copy. *)
+let test_collector_add_budget () =
+  if Sys.backend_type = Sys.Native then begin
+    let c = Det.Report.collector () in
+    let r = mk_report ~stack:stack1 () in
+    Det.Report.add c r;
+    let n = 10_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      Det.Report.add c r
+    done;
+    let per_add = (Gc.minor_words () -. w0) /. float_of_int n in
+    if per_add > 3.01 then
+      Alcotest.failf "Report.add of a known signature allocates %.2f words (budget 3)" per_add
+  end
+
 let suite =
   ( "classify",
     [
@@ -129,4 +203,10 @@ let suite =
       Alcotest.test_case "bug attribution" `Quick test_bug_attribution;
       Alcotest.test_case "gen-suppressions" `Quick test_gen_suppression_matches_own_report;
       Alcotest.test_case "collector ordering" `Quick test_collector_ordering;
+      Alcotest.test_case "collector: same-clock signature order" `Quick
+        test_collector_same_clock_order;
+      Alcotest.test_case "collector: dedup depth" `Quick test_collector_dedup_depth;
+      Alcotest.test_case "collector: suppressions" `Quick test_collector_suppressions;
+      Alcotest.test_case "collector: known-signature add budget" `Quick
+        test_collector_add_budget;
     ] )

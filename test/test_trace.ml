@@ -533,6 +533,137 @@ let test_recorder_metrics () =
     (counter "trace.record.bytes" > 0.
     && counter "trace.record.bytes" <= float_of_int (String.length bytes))
 
+(* --- streaming report digest ------------------------------------------ *)
+
+let render r =
+  let b = Buffer.create 512 in
+  Det.Report.add_to_buffer b r;
+  Buffer.contents b
+
+let digest_bytes () =
+  Option.value ~default:0
+    (Obs.Metrics.find_counter (Obs.Metrics.snapshot ()) "detector.report.digest_bytes")
+
+(* the streaming digest is the digest of the materialised stream, and
+   the byte counter grows by that stream's length *)
+let digest_is_exact reports =
+  let stream = String.concat "\n" (List.map render reports) in
+  let before = digest_bytes () in
+  Det.Offline.digest_reports reports = Digest.to_hex (Digest.string stream)
+  && digest_bytes () - before = String.length stream
+
+let gen_report ~depth =
+  let open Gen in
+  let* kind = oneofl Det.Report.[ Race_write; Race_read; Lock_order ] in
+  let* addr = int_bound 100_000 in
+  let* stack = list_size depth gen_loc in
+  let* detail = oneofl [ ""; "Previous state: shared RO, no locks" ] in
+  let+ block =
+    opt (map (fun len -> { Det.Report.b_base = addr; b_len = len + 1; b_alloc_tid = 0;
+                           b_alloc_stack = [ locs.(0); locs.(1) ] })
+           (int_bound 64))
+  in
+  { Det.Report.kind; addr; tid = 1; thread_name = "worker"; stack; detail; block; clock = addr;
+    provenance = None }
+
+(* a report whose rendering alone exceeds the 64 KB digest chunk *)
+let deep_report = gen_report ~depth:(Gen.pure 5000)
+
+let gen_reports =
+  let open Gen in
+  let small = gen_report ~depth:(int_bound 8) in
+  frequency
+    [
+      (1, pure []);
+      (1, list_size (pure 1) small);
+      (* 600+ renderings of 100-400 bytes: several chunk boundaries *)
+      (2, list_size (int_range 600 1200) small);
+      (2, map3 (fun a d b -> a @ (d :: b)) (list_size (int_bound 300) small) deep_report
+            (list_size (int_bound 300) small));
+    ]
+
+let qc_digest_streaming =
+  QCheck2.Test.make ~name:"streamed report digest = digest of the whole stream" ~count:30
+    gen_reports digest_is_exact
+
+(* The property's shapes, each once and checked to be what it claims. *)
+let test_digest_shapes () =
+  let rand = Random.State.make [| 18 |] in
+  let small = Gen.generate ~rand ~n:900 (gen_report ~depth:(Gen.int_bound 8)) in
+  let deep = Gen.generate1 ~rand deep_report in
+  let length rs = String.length (String.concat "\n" (List.map render rs)) in
+  Alcotest.(check bool) "deep report renders past one chunk" true (length [ deep ] > 65536);
+  Alcotest.(check bool) "many reports cross several chunks" true (length small > 3 * 65536);
+  List.iter
+    (fun (what, rs) -> Alcotest.(check bool) what true (digest_is_exact rs))
+    [
+      ("empty", []);
+      ("single", [ List.hd small ]);
+      ("many", small);
+      ("deep alone", [ deep ]);
+      ("deep among many", small @ (deep :: small));
+    ]
+
+(* --- decode allocation and malformed varints ------------------------------ *)
+
+let t1 = Option.get (R.Trace_ops.test_case_of_string "T1")
+
+(* Minor words per event of decoding T1 recorded at seed 7, measured at
+   22.0 with OCaml 5.1 native code: the entry record, the event record,
+   and the cons cells of the entry list and its reversal.  The bound
+   sits 2 words above, so a closure or an option per field read (the
+   decoder once spent 84 words/event on them) fails here. *)
+let decode_words_budget = 24.0
+
+let test_decode_alloc () =
+  if Sys.backend_type = Sys.Native then begin
+    let b = Buffer.create 16 in
+    Codec.write_varint b max_int;
+    let c = Codec.cursor (Buffer.contents b) in
+    let n = 100_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      c.Codec.pos <- 0;
+      ignore (Codec.read_varint c)
+    done;
+    let w = Gc.minor_words () -. w0 in
+    if w > 8. then Alcotest.failf "Codec.read_varint allocates: %.0f words over %d calls" w n;
+    let bytes = Det.Offline.contents (R.Trace_ops.record_test ~seed:7 t1).rec_recorder in
+    ignore (decode_exn bytes);
+    let w0 = Gc.minor_words () in
+    let t = decode_exn bytes in
+    let per_event = (Gc.minor_words () -. w0) /. float_of_int (Reader.length t) in
+    if per_event > decode_words_budget then
+      Alcotest.failf "decoding T1 allocates %.2f words/event (budget %.1f)" per_event
+        decode_words_budget
+  end
+
+(* A body with a valid footer: CRC recomputed, so the structural decoder
+   behind the CRC check is what sees the bytes. *)
+let with_footer body =
+  let b = Buffer.create (String.length body + 8) in
+  Buffer.add_string b body;
+  Codec.write_u32 b (Codec.crc32 body 0 (String.length body));
+  Buffer.add_string b Writer.magic_tail;
+  Buffer.contents b
+
+let test_overlong_varint_rejected () =
+  let _, bytes = encode (fixed_stream 4) in
+  let body = String.sub bytes 0 (String.length bytes - 8) in
+  Alcotest.(check bool) "re-footered body decodes" true
+    (Result.is_ok (Reader.of_string (with_footer body)));
+  (* the first event's tid, a one-byte varint, becomes ten
+     continuation bytes: more than a 63-bit int can hold *)
+  let at = (Reader.entries (decode_exn bytes)).(0).en_offset + 1 in
+  let mutated =
+    String.sub body 0 at ^ String.make 10 '\x81'
+    ^ String.sub body (at + 1) (String.length body - at - 1)
+  in
+  match Reader.of_string (with_footer mutated) with
+  | Error (`Msg _) -> ()
+  | Ok _ -> Alcotest.fail "over-long varint accepted"
+  | exception e -> Alcotest.failf "over-long varint raised %s" (Printexc.to_string e)
+
 let suite =
   ( "trace",
     [
@@ -542,6 +673,11 @@ let suite =
       QCheck_alcotest.to_alcotest qc_crc_incremental;
       QCheck_alcotest.to_alcotest qc_container_roundtrip;
       QCheck_alcotest.to_alcotest qc_truncation_rejected;
+      QCheck_alcotest.to_alcotest qc_digest_streaming;
+      Alcotest.test_case "streamed report digest: empty, single, chunk-crossing" `Quick
+        test_digest_shapes;
+      Alcotest.test_case "decode allocation budget" `Quick test_decode_alloc;
+      Alcotest.test_case "over-long varint rejected" `Quick test_overlong_varint_rejected;
       Alcotest.test_case "corrupt containers rejected" `Quick test_corruption_rejected;
       Alcotest.test_case "monotonic clock enforced" `Quick test_monotonic_clock_enforced;
       Alcotest.test_case "recording is deterministic" `Slow test_recording_deterministic;

@@ -667,15 +667,14 @@ let lock_unlock_loop n =
 
 (* Per-op budgets, measured with OCaml 5.1 native code: 4 words for a
    [Yield] (the effect round trip alone: the continuation and the
-   [Wake] that parks it), 4 for a write+read pair's average (an
-   unobserved access builds no event) and 10.5 for a lock+unlock pair's
-   (the [E_acquire]/[E_release] records and their [Mutex] refs, which
-   are emitted even with no tool attached).  Each bound sits less than
-   one [Some] (2 words) above its value, so a per-op option or closure
-   that creeps back into the engine fails here. *)
+   [Wake] that parks it), and 4 for a write+read or a lock+unlock
+   pair's average (an unobserved access or lock operation builds no
+   event record).  Each bound sits less than one [Some] (2 words) above
+   its value, so a per-op option, closure or event record that creeps
+   back into the engine fails here. *)
 let yield_budget = 5.5
 let write_read_budget = 5.5
-let lock_unlock_budget = 12.0
+let lock_unlock_budget = 5.5
 
 let test_alloc_budget () =
   if Sys.backend_type = Sys.Native then begin
